@@ -143,12 +143,6 @@ def _query_from_args(args: argparse.Namespace, grammar: Grammar, graph: DataGrap
     return [(vertex, nonterminal) for vertex in graph.vertices()]
 
 
-def _check_labels(grammar: Grammar, graph: DataGraph) -> None:
-    clash = sorted(s.text for s in graph.labels & grammar.nonterminals)
-    if clash:
-        raise CfpqError(f"graph labels collide with grammar nonterminals: {', '.join(clash)}")
-
-
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -168,7 +162,6 @@ def _stat_lines(pairs: list[tuple[str, object]]) -> None:
 def cmd_eval(args: argparse.Namespace) -> int:
     grammar = _load_grammar(args.grammar)
     graph, _ = _graph_from_args(args)
-    _check_labels(grammar, graph)
     query = _query_from_args(args, grammar, graph)
     started = time.perf_counter()
     result = evaluate(grammar, graph, query, args.discipline, args.seed)
@@ -200,7 +193,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     grammar = _load_grammar(args.grammar)
     graph, _ = _graph_from_args(args)
-    _check_labels(grammar, graph)
     query = _query_from_args(args, grammar, graph)
     table = fixpoint_relations(grammar, graph, max_triples=args.max_triples)
     expected = {(v, nt): oracle_eval(table, v, nt) for v, nt in query}
@@ -276,7 +268,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     graph = _generate(spec["kind"], spec["n"], args.k, labels, args.seed)
                     if args.add_inverses:
                         graph = with_inverses(graph)
-                _check_labels(grammar, graph)
                 query = [(v, grammar.start) for v in graph.vertices()]
                 times = []
                 first_total: int | None = None

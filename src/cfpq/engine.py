@@ -15,15 +15,18 @@ exactly once, at the worklist's leisure:
   derived for that (vertex, nonterminal) pair or spawns the
   nonterminal's items with this vertex as origin;
 * in the last set, processing records the derived edge
-  (origin, lhs, vertex) in the working graph and notifies the items
-  waiting on it.
+  (origin, lhs, vertex) in the derived-edge store and notifies the
+  items waiting on it.
 
 Waiting slots are registered when a vertex is marked processed right
 before a nonterminal, so a derived edge reaches exactly the slots whose
-reads it would otherwise have missed. The working graph ends up as the
-input plus every derived nonterminal edge for the spawned pairs, which
-makes answer extraction a plain successor lookup. The worklist pop
-order (fifo, lifo or seeded random) changes the run, not the fixpoint.
+reads it would otherwise have missed. The input graph is never written:
+terminal steps read its successor index, nonterminal steps read the
+per-query derived-edge store, keyed by (origin, nonterminal). That store
+ends up holding every derived edge for the spawned pairs, so answer
+extraction is a plain lookup in it, and many queries can share one
+loaded graph. The worklist pop order (fifo, lifo or seeded random)
+changes the run, not the fixpoint.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InvalidParams, UnknownNonterminal, UnknownVertex
+from .errors import InvalidParams, LabelClash, UnknownNonterminal, UnknownVertex
 from .grammar import Grammar, Production, Symbol
 from .graph import DataGraph
 
@@ -131,41 +134,17 @@ class Stats:
         }
 
 
-class ItemStore:
-    """All live items plus the spawn and waiter bookkeeping.
-
-    ``spawned`` remembers which (nonterminal, origin) pairs already have
-    items so each pair spawns at most once. ``waiters`` maps
-    (vertex, nonterminal) to the slots that were marked processed right
-    before that nonterminal and thus need to hear about new derived
-    edges (vertex, nonterminal, target).
-    """
-
-    __slots__ = ("items", "_spawned", "_waiters")
-
-    def __init__(self) -> None:
-        self.items: list[TraceItem] = []
-        self._spawned: set[tuple[Symbol, int]] = set()
-        self._waiters: dict[tuple[int, Symbol], list[tuple[TraceItem, int]]] = {}
-
-    def is_spawned(self, nonterminal: Symbol, origin: int) -> bool:
-        return (nonterminal, origin) in self._spawned
-
-    def mark_spawned(self, nonterminal: Symbol, origin: int) -> None:
-        self._spawned.add((nonterminal, origin))
-
-    def register_waiter(self, vertex: int, nonterminal: Symbol, item: TraceItem, position: int) -> None:
-        self._waiters.setdefault((vertex, nonterminal), []).append((item, position))
-
-    def waiters(self, vertex: int, nonterminal: Symbol) -> list[tuple[TraceItem, int]]:
-        return self._waiters.get((vertex, nonterminal), [])
-
-
 @dataclass
 class EvalResult:
-    """Outcome of a run: augmented graph, per-pair answers, counters."""
+    """Outcome of a run over a read-only input graph.
 
-    result_graph: DataGraph
+    ``graph`` is the caller's input, unchanged. ``derived`` maps
+    (origin, nonterminal) to the targets of the derived edges of that
+    pair; together the two are the input plus every derived edge.
+    """
+
+    graph: DataGraph
+    derived: dict[tuple[int, Symbol], set[int]]
     answers: dict[tuple[int, Symbol], set[int]]
     stats: Stats
     items: tuple[TraceItem, ...]
@@ -177,6 +156,17 @@ class Evaluation:
     Splitting construction from the loop keeps the machinery open for
     inspection: tests drive single steps, snapshot position sets between
     them and check that everything only ever grows.
+
+    The input graph is only read, so many evaluations can share one
+    loaded graph. The per-query state is four plain containers:
+
+    * ``items``: every item, in creation order;
+    * ``spawned``: the (origin, nonterminal) pairs that have items, so
+      each pair spawns at most once;
+    * ``waiters``: (vertex, nonterminal) -> the slots that were marked
+      processed right before that nonterminal and thus need to hear
+      about new derived edges (vertex, nonterminal, target);
+    * ``derived``: (origin, nonterminal) -> targets of the derived edges.
     """
 
     def __init__(
@@ -187,13 +177,17 @@ class Evaluation:
         discipline: str = "fifo",
         seed: int = 0,
     ):
-        assert graph.labels.isdisjoint(grammar.nonterminals), (
-            "input graph already uses nonterminal labels: "
-            f"{sorted(s.text for s in graph.labels & grammar.nonterminals)}"
-        )
+        clash = graph.labels & grammar.nonterminals
+        if clash:
+            raise LabelClash(
+                f"graph labels collide with grammar nonterminals: {', '.join(sorted(s.text for s in clash))}"
+            )
         self.grammar = grammar
-        self.graph = graph.copy()  # working copy; gains derived edges
-        self.store = ItemStore()
+        self.graph = graph
+        self.items: list[TraceItem] = []
+        self.spawned: set[tuple[int, Symbol]] = set()
+        self.waiters: dict[tuple[int, Symbol], list[tuple[TraceItem, int]]] = {}
+        self.derived: dict[tuple[int, Symbol], set[int]] = {}
         self.worklist = Worklist(discipline, seed)
         self.stats = Stats()
 
@@ -212,12 +206,12 @@ class Evaluation:
             self._spawn(nonterminal, vertex)
 
     def _spawn(self, nonterminal: Symbol, origin: int) -> None:
-        if self.store.is_spawned(nonterminal, origin):
+        if (origin, nonterminal) in self.spawned:
             return
-        self.store.mark_spawned(nonterminal, origin)
+        self.spawned.add((origin, nonterminal))
         for production in self.grammar.productions_of(nonterminal):
             item = TraceItem(production, origin)
-            self.store.items.append(item)
+            self.items.append(item)
             self.stats.items_created += 1
             self.stats.insertions += 1  # the origin seed in sets[0]
             self.worklist.push((item, 0, origin))
@@ -229,27 +223,36 @@ class Evaluation:
         if position < len(rhs):
             symbol = rhs[position]
             is_terminal = symbol in self.grammar.terminals
-            if is_terminal or self.store.is_spawned(symbol, vertex):
-                target_set = item.sets[position + 1]
-                for successor in self.graph.successors(vertex, symbol):
-                    if marked_union(target_set, successor):
-                        self.stats.insertions += 1
-                        self.worklist.push((item, position + 1, successor))
+            if is_terminal:
+                targets = self.graph.index.get((vertex, symbol))
+            elif (vertex, symbol) in self.spawned:
+                targets = self.derived.get((vertex, symbol))
             else:
                 # No items for (symbol, vertex) yet, so no derived edge
                 # (vertex, symbol, *) can exist either; nothing to read.
-                assert not self.graph.successors(vertex, symbol)
+                assert (vertex, symbol) not in self.derived
                 self._spawn(symbol, vertex)
+                targets = None
+            if targets:
+                target_set = item.sets[position + 1]
+                for successor in targets:
+                    if marked_union(target_set, successor):
+                        self.stats.insertions += 1
+                        self.worklist.push((item, position + 1, successor))
             item.sets[position][vertex] = PROCESSED
             if not is_terminal:
-                self.store.register_waiter(vertex, symbol, item, position + 1)
+                self.waiters.setdefault((vertex, symbol), []).append((item, position + 1))
         else:
             # Last set: the origin reaches this vertex along the whole
             # right-hand side, which derives a new lhs-labeled edge.
-            lhs = item.production.lhs
-            if self.graph.add_edge(item.origin, lhs, vertex):
+            key = (item.origin, item.production.lhs)
+            targets = self.derived.get(key)
+            if targets is None:
+                targets = self.derived[key] = set()
+            if vertex not in targets:
+                targets.add(vertex)
                 self.stats.edges_added += 1
-                for waiting_item, waiting_position in self.store.waiters(item.origin, lhs):
+                for waiting_item, waiting_position in self.waiters.get(key, ()):
                     if marked_union(waiting_item.sets[waiting_position], vertex):
                         self.stats.insertions += 1
                         self.worklist.push((waiting_item, waiting_position, vertex))
@@ -278,11 +281,8 @@ class Evaluation:
         return self.result()
 
     def result(self) -> EvalResult:
-        answers = {
-            (vertex, nonterminal): set(self.graph.successors(vertex, nonterminal))
-            for vertex, nonterminal in self.query
-        }
-        return EvalResult(self.graph, answers, self.stats, tuple(self.store.items))
+        answers = {pair: set(self.derived.get(pair, ())) for pair in self.query}
+        return EvalResult(self.graph, self.derived, answers, self.stats, tuple(self.items))
 
 
 def evaluate(
@@ -318,7 +318,7 @@ def render_item(item: TraceItem, graph: DataGraph) -> str:
 
 def final_items(result: EvalResult) -> list[str]:
     """Canonical rendering of every item, sorted for stable comparison."""
-    return sorted(render_item(item, result.result_graph) for item in result.items)
+    return sorted(render_item(item, result.graph) for item in result.items)
 
 
 def results_tsv(result: EvalResult) -> str:
@@ -327,7 +327,7 @@ def results_tsv(result: EvalResult) -> str:
     Rows are sorted ascending lexicographically, newline-terminated with
     LF; the same answers always render to the same bytes.
     """
-    graph = result.result_graph
+    graph = result.graph
     rows = sorted(
         (graph.vertex_name(vertex), nonterminal.text, graph.vertex_name(target))
         for (vertex, nonterminal), targets in result.answers.items()

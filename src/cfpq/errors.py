@@ -25,8 +25,12 @@ class UnknownVertex(CfpqError):
     """A vertex id or vertex name is not part of the graph."""
 
 
+class LabelClash(CfpqError):
+    """The input graph already uses a label that is a grammar nonterminal."""
+
+
 class MalformedTriple(CfpqError):
-    """A triple line does not have exactly three tab-separated fields."""
+    """A triple line does not have exactly three non-empty fields."""
 
 
 class InvalidParams(CfpqError):

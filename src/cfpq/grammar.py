@@ -27,9 +27,14 @@ from .errors import EmptyGrammar, InvalidGrammar, MalformedRule, UnknownNontermi
 _ARROW = "->"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Symbol:
-    """An interned grammar/graph symbol; equal text means the same object."""
+    """An interned grammar/graph symbol; equal text means the same object.
+
+    Only ``sym`` constructs symbols and it interns them, so equality and
+    hashing go by identity, which is exact and cheaper than comparing
+    fields.
+    """
 
     id: int
     text: str

@@ -3,8 +3,9 @@
 Vertices are dense integers assigned in first-appearance order; the
 original vertex tokens are kept in a side table so loaders and writers
 can round-trip external names. Labels are interned Symbols and the graph
-places no restriction on the label alphabet (the query engine adds
-nonterminal-labeled edges to its working copy).
+places no restriction on the label alphabet. The query engine only reads
+a graph: it keeps the nonterminal-labeled edges it derives in a store of
+its own, so many queries can share one loaded graph.
 
 Also home to the synthetic generators used by the benchmark CLI and a
 thin N-Triples pre-tokenizer (IRIs and literals become opaque local-name
@@ -29,19 +30,20 @@ INVERSE_SUFFIX = "^-1"
 class DataGraph:
     """Mutable triple store ``(source, label, target)`` over dense vertex ids.
 
-    ``triples`` is the authoritative edge set; ``successors`` answers the
-    one lookup the evaluator needs. Treat ``triples`` as read-only and go
-    through ``add_edge`` so the successor index stays consistent.
+    ``triples`` is the authoritative edge set; ``index`` maps
+    (source, label) to the set of targets, the one lookup the evaluator
+    needs, which it iterates directly. Treat both as read-only and go
+    through ``add_edge`` so they stay consistent.
     """
 
-    __slots__ = ("_names", "_ids", "triples", "labels", "_succ")
+    __slots__ = ("_names", "_ids", "triples", "labels", "index")
 
     def __init__(self) -> None:
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
         self.triples: set[Triple] = set()
         self.labels: set[Symbol] = set()
-        self._succ: dict[tuple[int, Symbol], set[int]] = {}
+        self.index: dict[tuple[int, Symbol], set[int]] = {}
 
     # -- vertices ------------------------------------------------------
 
@@ -87,7 +89,7 @@ class DataGraph:
             return False
         self.triples.add(triple)
         self.labels.add(label)
-        self._succ.setdefault((source, label), set()).add(target)
+        self.index.setdefault((source, label), set()).add(target)
         return True
 
     def has_edge(self, source: int, label: Symbol, target: int) -> bool:
@@ -95,7 +97,7 @@ class DataGraph:
 
     def successors(self, source: int, label: Symbol) -> list[int]:
         """Targets of ``label``-edges leaving ``source``, ascending."""
-        targets = self._succ.get((source, label))
+        targets = self.index.get((source, label))
         return sorted(targets) if targets else []
 
     def copy(self) -> DataGraph:
@@ -104,7 +106,7 @@ class DataGraph:
         g._ids = dict(self._ids)
         g.triples = set(self.triples)
         g.labels = set(self.labels)
-        g._succ = {key: set(targets) for key, targets in self._succ.items()}
+        g.index = {key: set(targets) for key, targets in self.index.items()}
         return g
 
     def __repr__(self) -> str:
@@ -118,9 +120,9 @@ def load_triples(text: str, add_inverses: bool = False) -> DataGraph:
     """Parse tab-separated ``subject<TAB>predicate<TAB>object`` lines.
 
     Vertex ids are assigned in first-appearance order (subject before
-    object within a line); duplicate triples collapse. With
-    ``add_inverses`` every input triple (s, p, o) also materializes
-    (o, p^-1, s), which adds labels but never vertices.
+    object within a line); duplicate triples collapse and an empty field
+    is an error. With ``add_inverses`` every input triple (s, p, o) also
+    materializes (o, p^-1, s), which adds labels but never vertices.
     """
     g = DataGraph()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -129,18 +131,26 @@ def load_triples(text: str, add_inverses: bool = False) -> DataGraph:
         fields = line.split("\t")
         if len(fields) != 3:
             raise MalformedTriple(f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
+        if "" in fields:
+            raise MalformedTriple(f"line {lineno}: empty field")
         s, p, o = fields
         g.add_edge(g.intern(s), sym(p), g.intern(o))
     if add_inverses:
-        return with_inverses(g)
+        _add_inverses(g)
     return g
+
+
+def _add_inverses(g: DataGraph) -> None:
+    """Add (o, p^-1, s) to ``g`` in place for every triple it holds now."""
+    inverse = {p: sym(p.text + INVERSE_SUFFIX) for p in g.labels}
+    for s, p, o in list(g.triples):
+        g.add_edge(o, inverse[p], s)
 
 
 def with_inverses(g: DataGraph) -> DataGraph:
     """Copy ``g`` and add (o, p^-1, s) for every existing triple."""
     out = g.copy()
-    for s, p, o in g.triples:
-        out.add_edge(o, sym(p.text + INVERSE_SUFFIX), s)
+    _add_inverses(out)
     return out
 
 
@@ -183,7 +193,7 @@ def load_ntriples(text: str, add_inverses: bool = False) -> DataGraph:
             raise MalformedTriple(f"line {lineno}: missing object term")
         g.add_edge(g.intern(_local_name(s)), sym(_local_name(p)), g.intern(_local_name(rest)))
     if add_inverses:
-        return with_inverses(g)
+        _add_inverses(g)
     return g
 
 

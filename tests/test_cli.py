@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cfpq
 from cfpq import fixpoint_relations, gen_ablist, oracle_eval, parse_grammar, sym
 from cfpq.cli import main
 
@@ -110,6 +114,24 @@ def test_eval_rejects_label_clash(workdir, capsys):
     code = main(["eval", "--grammar", str(workdir / "g.cfg"), "--graph", str(tainted)])
     assert code == 2
     assert "collide" in capsys.readouterr().err
+
+
+def test_label_clash_is_an_error_under_python_O(workdir):
+    # The check must not be an assert: python -O strips those, and the
+    # clashing S edge would then be silently ignored.
+    tainted = workdir / "t.tsv"
+    tainted.write_text("1\tS\t2\n")
+    src = Path(cfpq.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    completed = subprocess.run(
+        [sys.executable, "-O", "-m", "cfpq", "eval", "--grammar", str(workdir / "g.cfg"), "--graph", str(tainted)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert completed.returncode == 2
+    assert "collide" in completed.stderr
 
 
 def test_gen_ablist_golden(capsys):

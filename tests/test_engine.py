@@ -5,12 +5,14 @@ import pytest
 from cfpq import (
     Evaluation,
     InvalidParams,
+    LabelClash,
     UnknownNonterminal,
     UnknownVertex,
     Worklist,
     evaluate,
     final_items,
     fixpoint_relations,
+    gen_barabasi,
     gen_string,
     load_triples,
     marked_union,
@@ -47,8 +49,12 @@ def _example_query(graph):
     return [(graph.vertex_id("1"), sym("S")), (graph.vertex_id("3"), sym("S"))]
 
 
+def _derived_triples(derived):
+    return {(s, label, t) for (s, label), targets in derived.items() for t in targets}
+
+
 def _named_answers(result):
-    g = result.result_graph
+    g = result.graph
     return {
         (g.vertex_name(v), nt.text): {g.vertex_name(t) for t in targets}
         for (v, nt), targets in result.answers.items()
@@ -69,7 +75,7 @@ def test_marked_union_cases():
 
 def test_query_seeds_items_per_production(nesting_grammar, loop_graph):
     ev = Evaluation(nesting_grammar, loop_graph, _example_query(loop_graph))
-    assert [render_item(i, ev.graph) for i in ev.store.items] == [
+    assert [render_item(i, ev.graph) for i in ev.items] == [
         "[S -> {1°} a {} S {} b {}]",
         "[S -> {1°}]",
         "[S -> {3°} a {} S {} b {}]",
@@ -81,7 +87,7 @@ def test_query_seeds_items_per_production(nesting_grammar, loop_graph):
 def test_duplicate_query_pairs_collapse(nesting_grammar, loop_graph):
     v1 = loop_graph.vertex_id("1")
     ev = Evaluation(nesting_grammar, loop_graph, [(v1, sym("S")), (v1, sym("S"))])
-    assert len(ev.store.items) == 2
+    assert len(ev.items) == 2
     assert ev.query == ((v1, sym("S")),)
 
 
@@ -96,7 +102,7 @@ def test_empty_query_is_a_no_op(nesting_grammar, loop_graph):
     result = evaluate(nesting_grammar, loop_graph, [])
     assert result.answers == {}
     assert result.items == ()
-    assert result.result_graph.triples == loop_graph.triples
+    assert result.derived == {}
 
 
 def test_scripted_drive_matches_frozen_trace(nesting_grammar, loop_graph):
@@ -105,17 +111,17 @@ def test_scripted_drive_matches_frozen_trace(nesting_grammar, loop_graph):
     v1, v2, v3 = g.vertex_id("1"), g.vertex_id("2"), g.vertex_id("3")
     S = sym("S")
     ev = Evaluation(nesting_grammar, g, _example_query(g))
-    i1, i2 = ev.store.items[0], ev.store.items[1]
+    i1, i2 = ev.items[0], ev.items[1]
 
     def shot():
-        return [render_item(it, ev.graph) for it in ev.store.items]
+        return [render_item(it, ev.graph) for it in ev.items]
 
     ev.process_slot(i1, 0, v1)  # follow both a-edges out of vertex 1
     assert shot()[0] == "[S -> {1•} a {2°,3°} S {} b {}]"
 
     ev.process_slot(i1, 1, v2)  # vertex 2 sits before S: spawn items for (S, 2)
-    assert len(ev.store.items) == 6
-    i5, i6 = ev.store.items[4], ev.store.items[5]
+    assert len(ev.items) == 6
+    i5, i6 = ev.items[4], ev.items[5]
     assert shot()[0] == "[S -> {1•} a {2•,3°} S {} b {}]"
     assert shot()[4:] == ["[S -> {2°} a {} S {} b {}]", "[S -> {2°}]"]
 
@@ -123,18 +129,18 @@ def test_scripted_drive_matches_frozen_trace(nesting_grammar, loop_graph):
     assert shot()[4] == "[S -> {2•} a {} S {} b {}]"
 
     ev.process_slot(i6, 0, v2)  # empty right-hand side: derived edge (2,S,2)
-    assert ev.graph.has_edge(v2, S, v2)
+    assert v2 in ev.derived.get((v2, S), ())
     assert shot()[0] == "[S -> {1•} a {2•,3°} S {2°} b {}]"
 
     ev.process_slot(i1, 2, v2)  # read the b-edge 2 -> 3
     assert shot()[0] == "[S -> {1•} a {2•,3°} S {2•} b {3°}]"
 
     ev.process_slot(i1, 3, v3)  # whole right-hand side matched: edge (1,S,3)
-    assert ev.graph.has_edge(v1, S, v3)
+    assert v3 in ev.derived.get((v1, S), ())
     assert shot()[0] == "[S -> {1•} a {2•,3°} S {2•} b {3•}]"
 
     ev.process_slot(i2, 0, v1)  # the epsilon item yields the self edge (1,S,1)
-    assert ev.graph.has_edge(v1, S, v1)
+    assert v1 in ev.derived.get((v1, S), ())
 
     # drain the remaining slots in any order: the fixpoint is frozen
     result = ev.run()
@@ -147,10 +153,10 @@ def test_fixpoint_answers_edges_and_items(nesting_grammar, loop_graph):
         ("1", "S"): {"1", "3", "4"},
         ("3", "S"): {"3", "4"},
     }
-    g = result.result_graph
+    g = result.graph
     added = {
         (g.vertex_name(s), label.text, g.vertex_name(t))
-        for s, label, t in g.triples - loop_graph.triples
+        for s, label, t in _derived_triples(result.derived)
     }
     assert added == ADDED_EDGES
     assert result.stats.edges_added == len(ADDED_EDGES)
@@ -238,7 +244,7 @@ def test_rederiving_an_edge_changes_nothing():
     graph = load_triples("1\ta\t2\n1\ta\t3\n2\tb\t3\n3\ta\t1\n3\tb\t4\n")
     query = [(v, sym("S")) for v in graph.vertices()]
     result = evaluate(grammar, graph, query)
-    assert result.stats.edges_added == len(result.result_graph.triples - graph.triples)
+    assert result.stats.edges_added == len(_derived_triples(result.derived))
     table = fixpoint_relations(grammar, graph)
     for v in graph.vertices():
         assert result.answers[(v, sym("S"))] == oracle_eval(table, v, sym("S"))
@@ -249,8 +255,8 @@ def test_everything_grows_monotonically_under_stepping(nesting_grammar, loop_gra
 
     def snapshot():
         return (
-            {id(item): [dict(s) for s in item.sets] for item in ev.store.items},
-            set(ev.graph.triples),
+            {id(item): [dict(s) for s in item.sets] for item in ev.items},
+            _derived_triples(ev.derived),
         )
 
     previous_sets, previous_triples = snapshot()
@@ -278,14 +284,30 @@ def test_structure_bounds_hold(nesting_grammar, loop_graph):
 
 def test_engine_asserts_label_disjointness(nesting_grammar):
     tainted = load_triples("1\tS\t2\n")
-    with pytest.raises(AssertionError):
+    with pytest.raises(LabelClash, match="collide"):
         Evaluation(nesting_grammar, tainted, [(0, sym("S"))])
 
 
 def test_answers_are_successor_lookups(nesting_grammar, loop_graph):
     result = evaluate(nesting_grammar, loop_graph, _example_query(loop_graph))
     for (vertex, nonterminal), targets in result.answers.items():
-        assert targets == set(result.result_graph.successors(vertex, nonterminal))
+        assert targets == result.derived.get((vertex, nonterminal), set())
+
+
+def test_back_to_back_queries_on_one_loaded_graph():
+    grammar = preset("ab_unambiguous")
+
+    def load():
+        return gen_barabasi(60, 3, seed=1, labels=("a", "b"))
+
+    shared = load()
+    for source in (8, 5):
+        query = [(source, sym("S"))]
+        result = evaluate(grammar, shared, query)
+        fresh = evaluate(grammar, load(), query)
+        assert result.answers == fresh.answers
+        assert results_tsv(result) == results_tsv(fresh)
+        assert result.stats.as_dict() == fresh.stats.as_dict()
 
 
 def test_worklist_disciplines():

@@ -55,6 +55,12 @@ def test_malformed_triples_raise(text):
         load_triples(text)
 
 
+@pytest.mark.parametrize("text", ["x\t\ty\n", "\ta\ty\n", "x\ta\t\n"])
+def test_empty_fields_raise_with_the_line_number(text):
+    with pytest.raises(MalformedTriple, match="line 2: empty field"):
+        load_triples("u\ta\tv\n" + text)
+
+
 def test_add_inverses_materializes_reversed_edges():
     g = load_triples("x\tsubClassOf\ty\n", add_inverses=True)
     assert len(g.triples) == 2
@@ -68,6 +74,31 @@ def test_with_inverses_adds_no_vertices(loop_graph):
     assert g.vertex_count == loop_graph.vertex_count
     assert len(g.triples) == 2 * len(loop_graph.triples)
     assert loop_graph.labels < g.labels
+
+
+def test_with_inverses_leaves_its_input_untouched(loop_graph):
+    triples, labels = set(loop_graph.triples), set(loop_graph.labels)
+    with_inverses(loop_graph)
+    assert loop_graph.triples == triples
+    assert loop_graph.labels == labels
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (load_triples, "x\tsubClassOf\ty\ny\ttype\tz\nz\tsubClassOf\tx\nx\ttype\tx\n"),
+        (load_ntriples, "<http://e/x> <http://e/p> <http://e/y> .\n<http://e/y> <http://e/q> _:b .\n"),
+    ],
+)
+def test_loading_with_inverses_equals_with_inverses_of_the_load(load, text):
+    in_place = load(text, add_inverses=True)
+    copied = with_inverses(load(text))
+    assert in_place.triples == copied.triples
+    assert in_place.labels == copied.labels
+    assert [in_place.vertex_name(v) for v in in_place.vertices()] == [
+        copied.vertex_name(v) for v in copied.vertices()
+    ]
+    assert in_place.index == copied.index
 
 
 def test_add_edge_reports_first_insertion_only(loop_graph):
