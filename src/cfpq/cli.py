@@ -16,26 +16,16 @@ agree with the reference evaluator, ``bench`` emits one table row per
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 from .engine import evaluate, results_tsv
 from .errors import CfpqError
 from .grammar import Grammar, Symbol, parse_grammar, sym
-from .graph import (
-    GENERATORS,
-    DataGraph,
-    gen_ablist,
-    gen_barabasi,
-    gen_complete,
-    gen_cycle,
-    gen_string,
-    load_ntriples,
-    load_triples,
-    to_tsv,
-    with_inverses,
-)
+from .graph import GENERATORS, DataGraph, load_ntriples, load_triples, to_tsv, with_inverses
 from .oracle import DEFAULT_MAX_TRIPLES, fixpoint_relations, oracle_eval
 
 
@@ -61,42 +51,37 @@ def _split_labels(spec: str) -> list[str]:
     return [token for token in spec.split(",") if token]
 
 
-def _generate(kind: str, n: int | None, k: int, labels: list[str], seed: int) -> DataGraph:
+def _graph_source(
+    args: argparse.Namespace, path: str | None, kind: str | None, n: int | None
+) -> tuple[str, Callable[[], DataGraph]]:
+    """Describe the graph in file ``path``, or from generator ``kind`` at
+    size ``n``, and return a loader for it that honours --add-inverses.
+
+    A generator gets the options its signature names, out of n, k,
+    seed, labels and label; label is the first of --labels, or s.
+    """
+    if path is not None:
+        return Path(path).name, lambda: _load_graph(path, args.add_inverses)
     if n is None:
         raise CfpqError("--gen requires --n")
-    if kind == "complete":
-        return gen_complete(n, labels)
-    if kind == "cycle":
-        return gen_cycle(n, labels[0] if labels else "s")
-    if kind == "string":
-        return gen_string(n, labels[0] if labels else "s")
-    if kind == "ablist":
-        return gen_ablist(n)
-    if kind == "barabasi":
-        return gen_barabasi(n, k, seed, labels)
-    raise CfpqError(f"unknown generator {kind!r}; available: {', '.join(sorted(GENERATORS))}")
+    generator = GENERATORS[kind]
+    labels = _split_labels(args.labels)
+    options = {"n": n, "k": args.k, "seed": args.seed, "labels": labels, "label": labels[0] if labels else "s"}
+    params = {name: options[name] for name in inspect.signature(generator).parameters}
+    shown = (f"{name}={','.join(value) if name == 'labels' else value}" for name, value in params.items())
 
+    def load() -> DataGraph:
+        graph = generator(**params)
+        return with_inverses(graph) if args.add_inverses else graph
 
-def _describe_gen(kind: str, n: int, k: int, labels: list[str], seed: int) -> str:
-    if kind == "barabasi":
-        return f"barabasi(n={n},k={k},seed={seed},labels={','.join(labels)})"
-    if kind == "complete":
-        return f"complete(n={n},labels={','.join(labels)})"
-    if kind in ("cycle", "string"):
-        return f"{kind}(n={n},label={labels[0] if labels else 's'})"
-    return f"{kind}(n={n})"
+    return f"{kind}({','.join(shown)})", load
 
 
 def _graph_from_args(args: argparse.Namespace) -> tuple[DataGraph, str]:
     if (args.graph is None) == (args.gen is None):
         raise CfpqError("exactly one of --graph or --gen is required")
-    labels = _split_labels(args.labels)
-    if args.graph is not None:
-        return _load_graph(args.graph, args.add_inverses), Path(args.graph).name
-    graph = _generate(args.gen, args.n, args.k, labels, args.seed)
-    if args.add_inverses:
-        graph = with_inverses(graph)
-    return graph, _describe_gen(args.gen, args.n, args.k, labels, args.seed)
+    desc, load = _graph_source(args, args.graph, args.gen, args.n)
+    return load(), desc
 
 
 def _parse_query_file(text: str, graph: DataGraph, grammar: Grammar) -> list[tuple[int, Symbol]]:
@@ -181,10 +166,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    labels = _split_labels(args.labels)
-    graph = _generate(args.kind, args.n, args.k, labels, args.seed)
-    if args.add_inverses:
-        graph = with_inverses(graph)
+    _, load = _graph_source(args, None, args.kind, args.n)
+    graph = load()
     _write_output(to_tsv(graph), args.out)
     _stat_lines([("vertices", graph.vertex_count), ("triples", len(graph.triples))])
     return 0
@@ -221,14 +204,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not grammar_paths:
         raise CfpqError("--grammar needs at least one path")
 
-    graph_specs: list[tuple[str, dict]] = []
     if (args.graph is None) == (args.gen is None):
         raise CfpqError("exactly one of --graph or --gen is required")
-    labels = _split_labels(args.labels)
+    sources: list[tuple[str, Callable[[], DataGraph]]] = []
     if args.graph is not None:
         for path in args.graph.split(","):
             if path:
-                graph_specs.append((Path(path).name, {"path": path}))
+                sources.append(_graph_source(args, path, None, None))
     else:
         if args.n is None:
             raise CfpqError("--gen requires --n")
@@ -239,9 +221,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 n = int(n_text)
             except ValueError:
                 raise CfpqError(f"--n: not an integer: {n_text!r}") from None
-            desc = _describe_gen(args.gen, n, args.k, labels, args.seed)
-            graph_specs.append((desc, {"kind": args.gen, "n": n}))
-    if not graph_specs:
+            sources.append(_graph_source(args, None, args.gen, n))
+    if not sources:
         raise CfpqError("no graphs to benchmark")
 
     header = [
@@ -259,15 +240,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     lines = ["\t".join(header)]
     failures = 0
     for grammar_path in grammar_paths:
-        for desc, spec in graph_specs:
+        for desc, load in sources:
             try:
                 grammar = _load_grammar(grammar_path)
-                if "path" in spec:
-                    graph = _load_graph(spec["path"], args.add_inverses)
-                else:
-                    graph = _generate(spec["kind"], spec["n"], args.k, labels, args.seed)
-                    if args.add_inverses:
-                        graph = with_inverses(graph)
+                graph = load()
                 query = [(v, grammar.start) for v in graph.vertices()]
                 times = []
                 first_total: int | None = None

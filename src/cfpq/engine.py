@@ -1,4 +1,4 @@
-"""Worklist evaluation of context-free path queries.
+"""Set-at-a-time worklist evaluation of context-free path queries.
 
 A query pair (vertex, nonterminal) asks which vertices are reachable
 from the given one along a path whose label string the nonterminal
@@ -6,77 +6,98 @@ derives. Each queried pair seeds one item per production of the
 nonterminal. An item is a production annotated with one vertex set per
 position: the set after the j-th right-hand-side symbol holds the
 vertices reachable from the item's origin along paths matching the
-first j symbols. Vertices enter a set unprocessed and are processed
-exactly once, at the worklist's leisure:
+first j symbols.
 
-* before a terminal, processing follows the matching graph edges into
-  the next position set;
-* before a nonterminal, processing either reads off the edges already
-  derived for that (vertex, nonterminal) pair or spawns the
-  nonterminal's items with this vertex as origin;
-* in the last set, processing records the derived edge
-  (origin, lhs, vertex) in the derived-edge store and notifies the
-  items waiting on it.
+The unit of work is a slot, one position of one item. A vertex that
+enters a position set also enters the slot's pending delta, and the
+slot is queued when its delta turns non-empty. Processing a slot takes
+its whole delta at once (semi-naive evaluation):
 
-Waiting slots are registered when a vertex is marked processed right
-before a nonterminal, so a derived edge reaches exactly the slots whose
-reads it would otherwise have missed. The input graph is never written:
-terminal steps read its successor index, nonterminal steps read the
-per-query derived-edge store, keyed by (origin, nonterminal). That store
-ends up holding every derived edge for the spawned pairs, so answer
+* before a terminal, the delta's successor sets under that label are
+  unioned into the next position set;
+* before a nonterminal N, each delta vertex v either spawns the items of
+  (v, N) or contributes the edges already derived for (v, N); either way
+  the next slot is registered as a waiter of (v, N);
+* in the last set, the delta vertices not yet derived for (origin, lhs)
+  become derived edges, and the new targets go, as one set, to every
+  waiter of (origin, lhs).
+
+Only the part of an insertion that is new to the position set reaches
+the delta, so every vertex of every position set is processed exactly
+once, and the counters count vertices: ``pops`` adds the size of each
+processed delta, ``insertions`` the size of each fresh part. The input
+graph is never written: terminal steps read its successor index,
+nonterminal steps read the per-query derived-edge store. That store ends
+up holding every derived edge for the spawned pairs, so answer
 extraction is a plain lookup in it, and many queries can share one
 loaded graph. The worklist pop order (fifo, lifo or seeded random)
 changes the run, not the fixpoint.
+
+The run's state is laid out for the cyclic garbage collector to skip:
+slots and (vertex, nonterminal) pairs are ints, position sets, deltas
+and waiter lists are dicts of int keys and None values, which the
+collector does not track, and an item is an entry in two flat lists
+until someone asks for ``items``.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Collection, Iterable, Iterator
 
 from .errors import InvalidParams, LabelClash, UnknownNonterminal, UnknownVertex
 from .grammar import Grammar, Production, Symbol
 from .graph import DataGraph
 
-UNPROCESSED = False
-PROCESSED = True
-
-# A pending slot: this vertex is unprocessed in item.sets[position].
-Slot = tuple["TraceItem", int, int]
-
 
 class TraceItem:
     """A production instance rooted at an origin vertex.
 
-    ``sets[j]`` maps vertex id -> processed flag; ``sets[0]`` starts out
-    holding only the origin, unprocessed. For a right-hand side of n
-    symbols there are n+1 sets.
+    ``slot`` is the slot of the item's position 0; position j is slot
+    ``slot + j``. The position sets and pending deltas live in the
+    evaluation's per-slot stores, and the item reads its own through
+    ``sets`` and ``pending``. For a right-hand side of n symbols there
+    are n+1 positions; position 0 starts out holding the origin.
     """
 
-    __slots__ = ("production", "origin", "sets")
+    __slots__ = ("production", "origin", "slot", "_sets", "_pending")
 
-    def __init__(self, production: Production, origin: int):
+    def __init__(
+        self,
+        production: Production,
+        origin: int,
+        slot: int,
+        sets: list[dict[int, None] | None],
+        pending: dict[int, dict[int, None]],
+    ):
         self.production = production
         self.origin = origin
-        self.sets: list[dict[int, bool]] = [{} for _ in range(len(production.rhs) + 1)]
-        self.sets[0][origin] = UNPROCESSED
+        self.slot = slot
+        self._sets = sets
+        self._pending = pending
+
+    @property
+    def sets(self) -> list[dict[int, None]]:
+        """Per position, the position set as a dict keyed by vertex id."""
+        end = self.slot + len(self.production.rhs) + 1
+        return [position_set or {} for position_set in self._sets[self.slot : end]]
+
+    @property
+    def pending(self) -> list[set[int]]:
+        """Per position, the vertices of the position set not yet processed."""
+        return [set(self._pending.get(self.slot + j, ())) for j in range(len(self.production.rhs) + 1)]
 
     def __repr__(self) -> str:
         return f"TraceItem({self.production!r}, origin={self.origin})"
 
 
-def marked_union(position_set: dict[int, bool], vertex: int) -> bool:
-    """Add ``vertex`` as unprocessed unless present in any state.
-
-    Returns True iff the vertex was absent and has been inserted; the
-    caller enqueues the new slot exactly in that case.
-    """
-    if vertex in position_set:
-        return False
-    position_set[vertex] = UNPROCESSED
-    return True
+def _pop_random(entries: list[int], rng: random.Random) -> int:
+    i = rng.randrange(len(entries))
+    entries[i], entries[-1] = entries[-1], entries[i]
+    return entries.pop()
 
 
 class Worklist:
@@ -84,33 +105,33 @@ class Worklist:
 
     fifo pops the oldest entry, lifo the newest, random a uniformly
     seeded pick (swap-with-last, then pop). All three reach the same
-    fixpoint; they exist to exercise order independence.
+    fixpoint; they exist to exercise order independence. ``push`` and
+    ``pop`` are bound per discipline once, so the hot loop calls the
+    container's own methods where it can.
     """
 
-    __slots__ = ("discipline", "_entries", "_rng")
+    __slots__ = ("discipline", "_entries", "push", "pop")
 
     def __init__(self, discipline: str = "fifo", seed: int = 0):
         if discipline not in ("fifo", "lifo", "random"):
             raise InvalidParams(f"unknown worklist discipline {discipline!r}")
         self.discipline = discipline
-        self._entries: deque[Slot] | list[Slot] = [] if discipline == "random" else deque()
-        self._rng = random.Random(seed) if discipline == "random" else None
+        entries: deque[int] | list[int] = deque() if discipline == "fifo" else []
+        self._entries = entries
+        self.push = entries.append
+        if discipline == "fifo":
+            self.pop = entries.popleft
+        elif discipline == "lifo":
+            self.pop = entries.pop
+        else:
+            self.pop = partial(_pop_random, entries, random.Random(seed))
 
-    def push(self, slot: Slot) -> None:
-        self._entries.append(slot)
-
-    def pop(self) -> Slot:
-        if self.discipline == "fifo":
-            return self._entries.popleft()
-        if self.discipline == "lifo":
-            return self._entries.pop()
-        i = self._rng.randrange(len(self._entries))
-        self._entries[i], self._entries[-1] = self._entries[-1], self._entries[i]
-        return self._entries.pop()
-
-    def remove(self, slot: Slot) -> None:
+    def remove(self, slot: int) -> None:
         """Drop one specific pending slot (manual stepping only)."""
         self._entries.remove(slot)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -141,13 +162,19 @@ class EvalResult:
     ``graph`` is the caller's input, unchanged. ``derived`` maps
     (origin, nonterminal) to the targets of the derived edges of that
     pair; together the two are the input plus every derived edge.
+    ``evaluation`` is the finished run, whose items ``items`` shows.
     """
 
     graph: DataGraph
     derived: dict[tuple[int, Symbol], set[int]]
     answers: dict[tuple[int, Symbol], set[int]]
     stats: Stats
-    items: tuple[TraceItem, ...]
+    evaluation: Evaluation = field(repr=False)
+
+    @property
+    def items(self) -> tuple[TraceItem, ...]:
+        """Every item of the run, in creation order."""
+        return tuple(self.evaluation.items)
 
 
 class Evaluation:
@@ -158,15 +185,21 @@ class Evaluation:
     them and check that everything only ever grows.
 
     The input graph is only read, so many evaluations can share one
-    loaded graph. The per-query state is four plain containers:
+    loaded graph. Inside the run the item with creation index i owns
+    the slots ``i * width + position`` (``width`` is the grammar's
+    longest right-hand side plus one), and a (vertex, nonterminal) pair
+    is the int ``vertex * len(nonterminals) + nonterminal number``. The
+    per-query state is:
 
-    * ``items``: every item, in creation order;
-    * ``spawned``: the (origin, nonterminal) pairs that have items, so
-      each pair spawns at most once;
-    * ``waiters``: (vertex, nonterminal) -> the slots that were marked
-      processed right before that nonterminal and thus need to hear
-      about new derived edges (vertex, nonterminal, target);
-    * ``derived``: (origin, nonterminal) -> targets of the derived edges.
+    * per slot, the position set (None until its first vertex) and, in
+      one map, the pending delta: the vertices in the set that no step
+      has processed yet; ``items`` shows both per item;
+    * ``waiters``: pair -> the slots right after that nonterminal that
+      must hear about the pair's new derived edges; a pair has an entry
+      iff its items have been spawned, so each pair spawns at most once;
+    * the derived-edge store, pair -> targets, read as ``derived`` with
+      (origin, nonterminal) keys;
+    * ``worklist``: the slots whose delta is non-empty.
     """
 
     def __init__(
@@ -184,12 +217,28 @@ class Evaluation:
             )
         self.grammar = grammar
         self.graph = graph
-        self.items: list[TraceItem] = []
-        self.spawned: set[tuple[int, Symbol]] = set()
-        self.waiters: dict[tuple[int, Symbol], list[tuple[TraceItem, int]]] = {}
-        self.derived: dict[tuple[int, Symbol], set[int]] = {}
+        self._items: list[TraceItem] = []
+        self.waiters: dict[int, dict[int, None]] = {}
         self.worklist = Worklist(discipline, seed)
         self.stats = Stats()
+        self._sets: list[dict[int, None] | None] = []
+        self._pending: dict[int, dict[int, None]] = {}
+        self._derived: dict[int, set[int]] = {}
+        self._width = grammar.max_rhs_len + 1
+        self._nonterminals = tuple(sorted(grammar.nonterminals, key=lambda s: s.text))
+        number = {nonterminal: i for i, nonterminal in enumerate(self._nonterminals)}
+        # Per nonterminal, per production: the production, its lhs number
+        # and, per rhs position, the nonterminal's number or -1 before a
+        # terminal.
+        self._rules = [
+            tuple((p, i, tuple(number.get(s, -1) for s in p.rhs)) for p in grammar.productions_of(nonterminal))
+            for i, nonterminal in enumerate(self._nonterminals)
+        ]
+        # Per item index, its rule and its origin. TraceItem views are
+        # built only when ``items`` is read, so a run allocates no object
+        # per item that the garbage collector would have to scan.
+        self._item_rules: list[tuple[Production, int, tuple[int, ...]]] = []
+        self._origins: list[int] = []
 
         pairs: list[tuple[int, Symbol]] = []
         seen: set[tuple[int, Symbol]] = set()
@@ -203,86 +252,158 @@ class Evaluation:
                 pairs.append((vertex, nonterminal))
         self.query = tuple(pairs)
         for vertex, nonterminal in self.query:
-            self._spawn(nonterminal, vertex)
+            self._spawn(vertex * len(self._nonterminals) + number[nonterminal])
 
-    def _spawn(self, nonterminal: Symbol, origin: int) -> None:
-        if (origin, nonterminal) in self.spawned:
-            return
-        self.spawned.add((origin, nonterminal))
-        for production in self.grammar.productions_of(nonterminal):
-            item = TraceItem(production, origin)
-            self.items.append(item)
-            self.stats.items_created += 1
-            self.stats.insertions += 1  # the origin seed in sets[0]
-            self.worklist.push((item, 0, origin))
+    def _spawn(self, key: int) -> None:
+        """Create the items of pair ``key``, each with its origin pending."""
+        origin, number = divmod(key, len(self._nonterminals))
+        self.waiters[key] = {}
+        rules = self._rules[number]
+        blank = [None] * self._width
+        for rule in rules:
+            slot = len(self._sets)
+            self._item_rules.append(rule)
+            self._origins.append(origin)
+            self._sets += blank
+            self._sets[slot] = {origin: None}
+            self._pending[slot] = {origin: None}
+            self.worklist.push(slot)
+        self.stats.items_created += len(rules)
+        self.stats.insertions += len(rules)
 
-    def _process(self, item: TraceItem, position: int, vertex: int) -> None:
-        self.stats.pops += 1
-        assert item.sets[position].get(vertex) is UNPROCESSED
-        rhs = item.production.rhs
-        if position < len(rhs):
-            symbol = rhs[position]
-            is_terminal = symbol in self.grammar.terminals
-            if is_terminal:
-                targets = self.graph.index.get((vertex, symbol))
-            elif (vertex, symbol) in self.spawned:
-                targets = self.derived.get((vertex, symbol))
-            else:
-                # No items for (symbol, vertex) yet, so no derived edge
-                # (vertex, symbol, *) can exist either; nothing to read.
-                assert (vertex, symbol) not in self.derived
-                self._spawn(symbol, vertex)
-                targets = None
-            if targets:
-                target_set = item.sets[position + 1]
-                for successor in targets:
-                    if marked_union(target_set, successor):
-                        self.stats.insertions += 1
-                        self.worklist.push((item, position + 1, successor))
-            item.sets[position][vertex] = PROCESSED
-            if not is_terminal:
-                self.waiters.setdefault((vertex, symbol), []).append((item, position + 1))
+    def _insert(self, slot: int, new: set[int]) -> None:
+        """Add ``new`` to a position set; its fresh part joins the slot's delta.
+
+        ``new`` is only read, never kept, so callers may pass a set they
+        go on using.
+        """
+        seen = self._sets[slot]
+        if seen is None:
+            seen = self._sets[slot] = {}
         else:
-            # Last set: the origin reaches this vertex along the whole
-            # right-hand side, which derives a new lhs-labeled edge.
-            key = (item.origin, item.production.lhs)
-            targets = self.derived.get(key)
+            new = new.difference(seen)
+            if not new:
+                return
+        # The fresh part becomes the slot's delta, or joins it, and is freed
+        # once processed. dict.fromkeys presizes it for a set, so deltas take
+        # memory blocks of another size than the position sets, which grow
+        # key by key at their own size; freed deltas then leave no holes
+        # among the position sets. Built alike, the two raised the peak RSS
+        # of an all-vertex a^n b^n run (n = 20 000) by about 6 MB.
+        fresh = dict.fromkeys(new)
+        for vertex in new:
+            seen[vertex] = None
+        self.stats.insertions += len(fresh)
+        delta = self._pending.get(slot)
+        if delta is None:
+            self._pending[slot] = fresh
+            self.worklist.push(slot)
+        else:
+            delta.update(fresh)
+
+    def _process(self, slot: int, delta: dict[int, None]) -> None:
+        """Process ``delta``, vertices of ``slot``'s set no step has seen yet."""
+        self.stats.pops += len(delta)
+        index, position = divmod(slot, self._width)
+        production, lhs, numbers = self._item_rules[index]
+        if position < len(numbers):
+            number = numbers[position]
+            out: set[int] = set()
+            if number < 0:
+                symbol = production.rhs[position]
+                successors = self.graph.index.get
+                for vertex in delta:
+                    targets = successors((vertex, symbol))
+                    if targets:
+                        out |= targets
+            else:
+                width = len(self._nonterminals)
+                waiters, derived = self.waiters, self._derived
+                for vertex in delta:
+                    key = vertex * width + number
+                    waiting = waiters.get(key)
+                    if waiting is None:
+                        # No items for this pair yet, so no derived edge
+                        # of it can exist either; nothing to read.
+                        assert key not in derived
+                        self._spawn(key)
+                        waiting = waiters[key]
+                    else:
+                        targets = derived.get(key)
+                        if targets:
+                            out |= targets
+                    waiting[slot + 1] = None
+            if out:
+                self._insert(slot + 1, out)
+        else:
+            # Last set: the origin reaches these vertices along the whole
+            # right-hand side, which derives new lhs-labeled edges.
+            key = self._origins[index] * len(self._nonterminals) + lhs
+            targets = self._derived.get(key)
             if targets is None:
-                targets = self.derived[key] = set()
-            if vertex not in targets:
-                targets.add(vertex)
-                self.stats.edges_added += 1
-                for waiting_item, waiting_position in self.waiters.get(key, ()):
-                    if marked_union(waiting_item.sets[waiting_position], vertex):
-                        self.stats.insertions += 1
-                        self.worklist.push((waiting_item, waiting_position, vertex))
-            item.sets[position][vertex] = PROCESSED
+                new = self._derived[key] = set(delta)
+            else:
+                new = delta.keys() - targets
+                if not new:
+                    return
+                targets |= new
+            self.stats.edges_added += len(new)
+            for waiting_slot in self.waiters[key]:
+                self._insert(waiting_slot, new)
 
     def step(self) -> bool:
-        """Process one pending slot; False once the worklist is empty."""
+        """Process one pending slot's whole delta; False once the worklist is empty."""
         if not self.worklist:
             return False
-        item, position, vertex = self.worklist.pop()
-        self._process(item, position, vertex)
+        slot = self.worklist.pop()
+        self._process(slot, self._pending.pop(slot))
         return True
 
     def process_slot(self, item: TraceItem, position: int, vertex: int) -> None:
-        """Process one chosen pending slot out of worklist order.
+        """Process one chosen pending vertex out of worklist order.
 
-        Meant for manual stepping in tests and debugging sessions; the
-        slot must currently be pending.
+        Meant for manual stepping in tests and debugging sessions:
+        ``vertex`` must currently be pending at ``position`` of ``item``,
+        and it is processed as a delta of its own.
         """
-        self.worklist.remove((item, position, vertex))
-        self._process(item, position, vertex)
+        slot = item.slot + position
+        delta = self._pending.get(slot)
+        if delta is None or vertex not in delta:
+            raise InvalidParams(f"vertex {vertex} is not pending at position {position} of {item!r}")
+        del delta[vertex]
+        if not delta:
+            del self._pending[slot]
+            self.worklist.remove(slot)
+        self._process(slot, {vertex: None})
+
+    @property
+    def items(self) -> list[TraceItem]:
+        """Every item, in creation order; views are built on first read."""
+        items = self._items
+        for index in range(len(items), len(self._origins)):
+            production = self._item_rules[index][0]
+            items.append(TraceItem(production, self._origins[index], index * self._width, self._sets, self._pending))
+        return items
+
+    @property
+    def derived(self) -> dict[tuple[int, Symbol], set[int]]:
+        """The derived-edge store keyed by (origin, nonterminal), built on each read."""
+        width = len(self._nonterminals)
+        return {(key // width, self._nonterminals[key % width]): targets for key, targets in self._derived.items()}
 
     def run(self) -> EvalResult:
-        while self.step():
-            pass
+        # The pending map's keys are exactly the queued slots, and testing
+        # the map costs no call into Python code, unlike len(worklist).
+        pending, pop, process = self._pending, self.worklist.pop, self._process
+        while pending:
+            slot = pop()
+            process(slot, pending.pop(slot))
         return self.result()
 
     def result(self) -> EvalResult:
-        answers = {pair: set(self.derived.get(pair, ())) for pair in self.query}
-        return EvalResult(self.graph, self.derived, answers, self.stats, tuple(self.items))
+        derived = self.derived
+        answers = {pair: set(derived.get(pair, ())) for pair in self.query}
+        return EvalResult(self.graph, derived, answers, self.stats, self)
 
 
 def evaluate(
@@ -299,20 +420,21 @@ def evaluate(
 # -- canonical renderings -------------------------------------------------
 
 
-def render_position_set(position_set: dict[int, bool], graph: DataGraph) -> str:
-    parts = (
-        f"{graph.vertex_name(vertex)}{'•' if processed else '°'}"
-        for vertex, processed in sorted(position_set.items())
-    )
+def render_position_set(position_set: Collection[int], pending: Collection[int], graph: DataGraph) -> str:
+    parts = (f"{graph.vertex_name(vertex)}{'°' if vertex in pending else '•'}" for vertex in sorted(position_set))
     return "{" + ",".join(parts) + "}"
 
 
 def render_item(item: TraceItem, graph: DataGraph) -> str:
-    """One item as ``[S -> {1•} a {2•,3°} S {} b {}]`` (sets ascending)."""
-    parts = [render_position_set(item.sets[0], graph)]
-    for symbol, position_set in zip(item.production.rhs, item.sets[1:]):
+    """One item as ``[S -> {1•} a {2•,3°} S {} b {}]`` (sets ascending).
+
+    Pending vertices render ``°``, processed ones ``•``.
+    """
+    sets, pending = item.sets, item.pending
+    parts = [render_position_set(sets[0], pending[0], graph)]
+    for j, symbol in enumerate(item.production.rhs, start=1):
         parts.append(symbol.text)
-        parts.append(render_position_set(position_set, graph))
+        parts.append(render_position_set(sets[j], pending[j], graph))
     return f"[{item.production.lhs.text} -> {' '.join(parts)}]"
 
 

@@ -15,8 +15,6 @@ tokens; full RDF semantics is out of scope).
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
-from itertools import accumulate
 from typing import Sequence
 
 from .errors import InvalidParams, MalformedTriple, UnknownVertex
@@ -271,22 +269,55 @@ def gen_barabasi(
     k edges v -> t with t chosen among 0..v-1 proportionally to current
     in+out degree over the deduplicated edge set. When every candidate
     still has degree zero (k = 1) the target is drawn uniformly. Per
-    edge the target is drawn first (cumulative-weight bisection on
-    ``rng.random()``), then the label (``rng.randrange``); the rng is
+    edge the target is drawn first, then the label (``rng.randrange``):
+    with D the degree total of 0..v-1, the target is the first vertex
+    whose cumulative degree exceeds ``rng.random() * D``. The rng is
     ``random.Random(seed)``. Identical parameters reproduce the graph
-    bit-for-bit.
+    bit-for-bit. Degrees live in a Fenwick tree (Fenwick, SP&E 1994), so
+    a draw costs O(log n) and the whole graph O(nk log n).
     """
     if not 1 <= k <= n:
         raise InvalidParams(f"need 1 <= k <= n, got k={k}, n={n}")
     labs = _label_list(labels)
     rng = random.Random(seed)
     g = _fresh(n)
-    degree = [0] * n
+    # tree[i] holds the degree total of vertices i - (i & -i) .. i - 1.
+    tree = [0] * (n + 1)
+    top = 1 << (n.bit_length() - 1)
+
+    def bump(vertex: int) -> None:
+        i = vertex + 1
+        while i <= n:
+            tree[i] += 1
+            i += i & -i
+
+    def degree_total(count: int) -> int:
+        """Degree total of vertices 0..count-1."""
+        total = 0
+        while count:
+            total += tree[count]
+            count &= count - 1
+        return total
+
+    def first_above(x: float) -> int:
+        """First vertex whose cumulative degree exceeds ``x``, or n.
+
+        Sums stay ints and are compared with ``x`` as they are, so ties
+        break exactly as bisection over the cumulative list would.
+        """
+        position, below = 0, 0
+        step = top
+        while step:
+            upper = position + step
+            if upper <= n and below + tree[upper] <= x:
+                position, below = upper, below + tree[upper]
+            step >>= 1
+        return position
 
     def insert(s: int, label: Symbol, t: int) -> None:
         if g.add_edge(s, label, t):
-            degree[s] += 1
-            degree[t] += 1
+            bump(s)
+            bump(t)
 
     for s in range(k):
         for t in range(k):
@@ -294,12 +325,13 @@ def gen_barabasi(
                 insert(s, labs[rng.randrange(len(labs))], t)
     for v in range(k, n):
         for _ in range(k):
-            weights = list(accumulate(degree[:v]))
-            total = weights[-1]
+            total = degree_total(v)
             if total == 0:
                 target = rng.randrange(v)
             else:
-                target = bisect_right(weights, rng.random() * total)
+                # A draw that rounds up to the total lands past v - 1,
+                # where bisection over 0..v-1 would have answered v.
+                target = min(first_above(rng.random() * total), v)
             insert(v, labs[rng.randrange(len(labs))], target)
     return g
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from cfpq import (
@@ -15,7 +17,6 @@ from cfpq import (
     gen_barabasi,
     gen_string,
     load_triples,
-    marked_union,
     oracle_eval,
     parse_grammar,
     preset,
@@ -61,16 +62,39 @@ def _named_answers(result):
     }
 
 
-def test_marked_union_cases():
-    position_set: dict[int, bool] = {}
-    assert marked_union(position_set, 3) is True
-    assert position_set == {3: False}
+def test_insertion_adds_only_fresh_vertices(nesting_grammar, loop_graph):
+    v1 = loop_graph.vertex_id("1")
+    ev = Evaluation(nesting_grammar, loop_graph, [(v1, sym("S"))])
+    item = ev.items[0]
+    slot = item.slot + 1
+
+    def counts():
+        return ev.stats.insertions, len(ev.worklist)
+
+    insertions, queued = counts()
+    ev._insert(slot, {3})
+    assert item.sets[1] == {3: None} and item.pending[1] == {3}
+    assert counts() == (insertions + 1, queued + 1)
     # already pending: no insertion, no re-enqueue
-    assert marked_union(position_set, 3) is False
-    position_set[3] = True
+    ev._insert(slot, {3})
+    assert item.pending[1] == {3}
+    assert counts() == (insertions + 1, queued + 1)
+    ev.process_slot(item, 1, 3)
     # already processed: stays processed
-    assert marked_union(position_set, 3) is False
-    assert position_set == {3: True}
+    insertions, queued = counts()
+    ev._insert(slot, {3})
+    assert item.sets[1] == {3: None} and item.pending[1] == set()
+    assert counts() == (insertions, queued)
+
+
+def test_process_slot_wants_a_pending_vertex(nesting_grammar, loop_graph):
+    v1, v2 = loop_graph.vertex_id("1"), loop_graph.vertex_id("2")
+    ev = Evaluation(nesting_grammar, loop_graph, [(v1, sym("S"))])
+    with pytest.raises(InvalidParams, match="not pending"):
+        ev.process_slot(ev.items[0], 0, v2)
+    ev.process_slot(ev.items[0], 0, v1)
+    with pytest.raises(InvalidParams, match="not pending"):
+        ev.process_slot(ev.items[0], 0, v1)
 
 
 def test_query_seeds_items_per_production(nesting_grammar, loop_graph):
@@ -235,7 +259,7 @@ def test_pops_match_insertions_at_fixpoint(nesting_grammar, loop_graph):
     # every position-set entry has been processed exactly once
     total_entries = sum(len(s) for item in result.items for s in item.sets)
     assert result.stats.pops == total_entries
-    assert all(all(s.values()) for item in result.items for s in item.sets)
+    assert not any(any(item.pending) for item in result.items)
 
 
 def test_rederiving_an_edge_changes_nothing():
@@ -255,7 +279,10 @@ def test_everything_grows_monotonically_under_stepping(nesting_grammar, loop_gra
 
     def snapshot():
         return (
-            {id(item): [dict(s) for s in item.sets] for item in ev.items},
+            {
+                id(item): [(set(s), set(s) - pending) for s, pending in zip(item.sets, item.pending)]
+                for item in ev.items
+            },
             _derived_triples(ev.derived),
         )
 
@@ -265,11 +292,9 @@ def test_everything_grows_monotonically_under_stepping(nesting_grammar, loop_gra
         assert previous_triples <= current_triples
         for key, old_sets in previous_sets.items():
             new_sets = current_sets[key]
-            for old, new in zip(old_sets, new_sets):
-                assert set(old) <= set(new)
-                for vertex, processed in old.items():
-                    if processed:  # marks never revert
-                        assert new[vertex] is True
+            for (old, old_processed), (new, new_processed) in zip(old_sets, new_sets):
+                assert old <= new
+                assert old_processed <= new_processed  # marks never revert
         previous_sets, previous_triples = current_sets, current_triples
 
 
@@ -332,3 +357,22 @@ def test_worklist_disciplines():
 
     with pytest.raises(InvalidParams):
         Worklist("sorted")
+
+
+def test_run_state_is_not_tracked_by_the_garbage_collector():
+    grammar = preset("ab_ambiguous")
+    graph = gen_barabasi(40, 3, seed=2, labels=("a", "b"))
+    ev = Evaluation(grammar, graph, [(v, grammar.start) for v in graph.vertices()])
+    for _ in range(60):
+        ev.step()
+    slots = list(ev.worklist)
+    assert slots
+    assert not any(gc.is_tracked(slot) for slot in slots)
+    ev.run()
+    position_sets = [s for item in ev.items for s in item.sets]
+    assert sum(map(len, position_sets)) == ev.stats.insertions
+    assert not any(gc.is_tracked(s) for s in position_sets)
+    assert ev.waiters
+    for waiting in ev.waiters.values():
+        assert not gc.is_tracked(waiting)
+        assert not any(gc.is_tracked(slot) for slot in waiting)

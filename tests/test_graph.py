@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from cfpq import (
@@ -184,6 +186,24 @@ def test_gen_barabasi_is_reproducible():
     second = to_tsv(gen_barabasi(30, 3, seed=11))
     assert first == second
     assert first != to_tsv(gen_barabasi(30, 3, seed=12))
+
+
+# SHA-256 of to_tsv(gen_barabasi(n, k, seed, labels)), frozen from the
+# generator that bisected a freshly accumulated degree list per edge. The
+# first two are the benchmark's hierarchy-all and point-lookups graphs.
+BARABASI_DIGESTS = [
+    ((600, 3, 1, ("subClassOf", "type")), "e1e37e23ae461bea6f5a165314de2b3267a64c132d8e2279541ae43756426579"),
+    ((8000, 3, 1, ("a", "b")), "f851096e0a51c28870665bf0badc75e84faed2071795d5c95b335139637da699"),
+    ((50, 1, 0, ("a", "b", "c", "d")), "eb89832680b0c8b05237aa3b738b5e76c6dd879c4074087f4b5d96cabfc353c3"),
+    ((300, 5, 7, ("a", "b", "c", "d")), "79a3cae41a10d875339efeb10f31fb226689e2a54232de0770efb2385915cfd4"),
+    ((6, 6, 3, ("x",)), "42d19e25bc4102d6034cbe38310095bd6b73ca54cce25cb189f8468137ec1e43"),
+    ((2000, 2, 11, ("p", "q", "r")), "db0700d121930b3798184a6c0af65afc683ad32390303b71f92f7b3928041a9e"),
+]
+
+
+@pytest.mark.parametrize("params,digest", BARABASI_DIGESTS, ids=[str(p[:3]) for p, _ in BARABASI_DIGESTS])
+def test_gen_barabasi_graphs_are_pinned(params, digest):
+    assert hashlib.sha256(to_tsv(gen_barabasi(*params)).encode()).hexdigest() == digest
 
 
 def test_gen_barabasi_validates_k():

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import random
+from bisect import bisect_right
+from itertools import accumulate
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfpq import (
     DataGraph,
+    Evaluation,
     Grammar,
     Production,
     compose,
     evaluate,
+    final_items,
     fixpoint_relations,
     gen_barabasi,
     oracle_eval,
@@ -105,7 +111,7 @@ def test_engine_agrees_with_reference_and_itself(grammar, graph):
 
         for item in result.items:
             # at the fixpoint every entry is processed ...
-            assert all(all(s.values()) for s in item.sets)
+            assert not any(item.pending)
             # ... and each position set is sound for its matched prefix
             for j in range(len(item.production.rhs) + 1):
                 allowed = reachable_via(table, item.origin, item.production.rhs[:j])
@@ -115,6 +121,33 @@ def test_engine_agrees_with_reference_and_itself(grammar, graph):
                 assert item.origin in result.derived.get((item.origin, item.production.lhs), ())
 
     assert len(renderings) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(grammars(), graphs(), st.integers(0, 2**32 - 1))
+def test_one_vertex_stepping_reaches_the_same_fixpoint(grammar, graph, seed):
+    """Process pending vertices one at a time, in a seeded random order."""
+    query = [(v, grammar.start) for v in graph.vertices()]
+    ev = Evaluation(grammar, graph, query)
+    rng = random.Random(seed)
+    while True:
+        pending = [
+            (item, j, vertex)
+            for item in ev.items
+            for j, vertices in enumerate(item.pending)
+            for vertex in sorted(vertices)
+        ]
+        if not pending:
+            break
+        ev.process_slot(*rng.choice(pending))
+    assert len(ev.worklist) == 0
+    stepped = ev.result()
+    assert stepped.stats.pops == stepped.stats.insertions
+    for discipline in ("fifo", "lifo", "random"):
+        ran = evaluate(grammar, graph, query, discipline, seed)
+        assert final_items(stepped) == final_items(ran)
+        assert stepped.answers == ran.answers
+        assert stepped.stats.as_dict() == ran.stats.as_dict()
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,6 +185,43 @@ def test_reference_passes_are_monotone(grammar, graph):
     for earlier, later in zip(snapshots, snapshots[1:]):
         for symbol, relation in earlier.items():
             assert relation <= later[symbol]
+
+
+def _barabasi_by_bisection(n, k, seed, labels):
+    """Reference generator: bisect a fresh cumulative degree list per edge."""
+    labs = [sym(label) for label in labels]
+    rng = random.Random(seed)
+    g = DataGraph()
+    for i in range(n):
+        g.intern(str(i))
+    degree = [0] * n
+
+    def insert(s, label, t):
+        if g.add_edge(s, label, t):
+            degree[s] += 1
+            degree[t] += 1
+
+    for s in range(k):
+        for t in range(k):
+            if s != t:
+                insert(s, labs[rng.randrange(len(labs))], t)
+    for v in range(k, n):
+        for _ in range(k):
+            weights = list(accumulate(degree[:v]))
+            if weights[-1] == 0:
+                target = rng.randrange(v)
+            else:
+                target = bisect_right(weights, rng.random() * weights[-1])
+            insert(v, labs[rng.randrange(len(labs))], target)
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 120), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_barabasi_matches_the_bisection_reference(n, k, seed):
+    k = min(k, n)
+    labels = ("a", "b", "c")
+    assert to_tsv(gen_barabasi(n, k, seed, labels)) == to_tsv(_barabasi_by_bisection(n, k, seed, labels))
 
 
 @settings(max_examples=20, deadline=None)
