@@ -34,10 +34,12 @@ loaded graph. The worklist pop order (fifo, lifo or seeded random)
 changes the run, not the fixpoint.
 
 The run's state is laid out for the cyclic garbage collector to skip:
-slots and (vertex, nonterminal) pairs are ints, position sets, deltas
-and waiter lists are dicts of int keys and None values, which the
-collector does not track, and an item is an entry in two flat lists
-until someone asks for ``items``.
+slots and (vertex, nonterminal) pairs are ints, position sets, deltas,
+waiter lists and the derived-edge store's target sets are dicts of int
+keys and None values, which the collector does not track, and an item
+is an entry in two flat lists until someone asks for ``items``. The
+result reads that store in place: ``answers`` copies only the queried
+pairs' targets, and ``derived`` is built only when it is read.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Collection, Iterable, Iterator
 
 from .errors import InvalidParams, LabelClash, UnknownNonterminal, UnknownVertex
@@ -159,14 +161,12 @@ class Stats:
 class EvalResult:
     """Outcome of a run over a read-only input graph.
 
-    ``graph`` is the caller's input, unchanged. ``derived`` maps
-    (origin, nonterminal) to the targets of the derived edges of that
-    pair; together the two are the input plus every derived edge.
-    ``evaluation`` is the finished run, whose items ``items`` shows.
+    ``graph`` is the caller's input, unchanged. ``answers`` maps each
+    query pair to its answer set. ``evaluation`` is the finished run,
+    which ``items`` and ``derived`` read.
     """
 
     graph: DataGraph
-    derived: dict[tuple[int, Symbol], set[int]]
     answers: dict[tuple[int, Symbol], set[int]]
     stats: Stats
     evaluation: Evaluation = field(repr=False)
@@ -175,6 +175,31 @@ class EvalResult:
     def items(self) -> tuple[TraceItem, ...]:
         """Every item of the run, in creation order."""
         return tuple(self.evaluation.items)
+
+    @property
+    def derived(self) -> dict[tuple[int, Symbol], set[int]]:
+        """Every derived edge, as ``Evaluation.derived``: built on each read."""
+        return self.evaluation.derived
+
+
+Rule = tuple[Production, int, tuple[int, ...]]
+
+
+@lru_cache(maxsize=64)
+def _grammar_tables(grammar: Grammar) -> tuple[tuple[Symbol, ...], dict[Symbol, int], tuple[tuple[Rule, ...], ...]]:
+    """Nonterminals in text order, their numbers, and per nonterminal, its rules.
+
+    A rule is a production, its lhs number and, per rhs position, the
+    nonterminal's number or -1 before a terminal. Built once per
+    grammar and shared, so callers only read them.
+    """
+    nonterminals = tuple(sorted(grammar.nonterminals, key=lambda s: s.text))
+    number = {nonterminal: i for i, nonterminal in enumerate(nonterminals)}
+    rules = tuple(
+        tuple((p, i, tuple(number.get(s, -1) for s in p.rhs)) for p in grammar.productions_of(nonterminal))
+        for i, nonterminal in enumerate(nonterminals)
+    )
+    return nonterminals, number, rules
 
 
 class Evaluation:
@@ -189,6 +214,7 @@ class Evaluation:
     the slots ``i * width + position`` (``width`` is the grammar's
     longest right-hand side plus one), and a (vertex, nonterminal) pair
     is the int ``vertex * len(nonterminals) + nonterminal number``. The
+    numbering and the rules come from tables built once per grammar. The
     per-query state is:
 
     * per slot, the position set (None until its first vertex) and, in
@@ -197,8 +223,8 @@ class Evaluation:
     * ``waiters``: pair -> the slots right after that nonterminal that
       must hear about the pair's new derived edges; a pair has an entry
       iff its items have been spawned, so each pair spawns at most once;
-    * the derived-edge store, pair -> targets, read as ``derived`` with
-      (origin, nonterminal) keys;
+    * the derived-edge store, pair -> targets (a dict of None values),
+      read as ``derived`` with (origin, nonterminal) keys and target sets;
     * ``worklist``: the slots whose delta is non-empty.
     """
 
@@ -223,21 +249,13 @@ class Evaluation:
         self.stats = Stats()
         self._sets: list[dict[int, None] | None] = []
         self._pending: dict[int, dict[int, None]] = {}
-        self._derived: dict[int, set[int]] = {}
+        self._derived: dict[int, dict[int, None]] = {}
         self._width = grammar.max_rhs_len + 1
-        self._nonterminals = tuple(sorted(grammar.nonterminals, key=lambda s: s.text))
-        number = {nonterminal: i for i, nonterminal in enumerate(self._nonterminals)}
-        # Per nonterminal, per production: the production, its lhs number
-        # and, per rhs position, the nonterminal's number or -1 before a
-        # terminal.
-        self._rules = [
-            tuple((p, i, tuple(number.get(s, -1) for s in p.rhs)) for p in grammar.productions_of(nonterminal))
-            for i, nonterminal in enumerate(self._nonterminals)
-        ]
+        self._nonterminals, self._number, self._rules = _grammar_tables(grammar)
         # Per item index, its rule and its origin. TraceItem views are
         # built only when ``items`` is read, so a run allocates no object
         # per item that the garbage collector would have to scan.
-        self._item_rules: list[tuple[Production, int, tuple[int, ...]]] = []
+        self._item_rules: list[Rule] = []
         self._origins: list[int] = []
 
         pairs: list[tuple[int, Symbol]] = []
@@ -252,7 +270,7 @@ class Evaluation:
                 pairs.append((vertex, nonterminal))
         self.query = tuple(pairs)
         for vertex, nonterminal in self.query:
-            self._spawn(vertex * len(self._nonterminals) + number[nonterminal])
+            self._spawn(vertex * len(self._nonterminals) + self._number[nonterminal])
 
     def _spawn(self, key: int) -> None:
         """Create the items of pair ``key``, each with its origin pending."""
@@ -302,7 +320,10 @@ class Evaluation:
             delta.update(fresh)
 
     def _process(self, slot: int, delta: dict[int, None]) -> None:
-        """Process ``delta``, vertices of ``slot``'s set no step has seen yet."""
+        """Process ``delta``, vertices of ``slot``'s set no step has seen yet.
+
+        ``delta`` is handed over: the step may keep it.
+        """
         self.stats.pops += len(delta)
         index, position = divmod(slot, self._width)
         production, lhs, numbers = self._item_rules[index]
@@ -331,7 +352,7 @@ class Evaluation:
                     else:
                         targets = derived.get(key)
                         if targets:
-                            out |= targets
+                            out.update(targets)
                     waiting[slot + 1] = None
             if out:
                 self._insert(slot + 1, out)
@@ -341,12 +362,15 @@ class Evaluation:
             key = self._origins[index] * len(self._nonterminals) + lhs
             targets = self._derived.get(key)
             if targets is None:
-                new = self._derived[key] = set(delta)
+                self._derived[key] = delta
+                new = set(delta)
             else:
-                new = delta.keys() - targets
+                # set.difference looks each delta vertex up in ``targets``;
+                # ``delta.keys() - targets`` would iterate all of ``targets``.
+                new = set(delta).difference(targets)
                 if not new:
                     return
-                targets |= new
+                targets.update(delta)
             self.stats.edges_added += len(new)
             for waiting_slot in self.waiters[key]:
                 self._insert(waiting_slot, new)
@@ -389,7 +413,9 @@ class Evaluation:
     def derived(self) -> dict[tuple[int, Symbol], set[int]]:
         """The derived-edge store keyed by (origin, nonterminal), built on each read."""
         width = len(self._nonterminals)
-        return {(key // width, self._nonterminals[key % width]): targets for key, targets in self._derived.items()}
+        return {
+            (key // width, self._nonterminals[key % width]): set(targets) for key, targets in self._derived.items()
+        }
 
     def run(self) -> EvalResult:
         # The pending map's keys are exactly the queued slots, and testing
@@ -401,9 +427,12 @@ class Evaluation:
         return self.result()
 
     def result(self) -> EvalResult:
-        derived = self.derived
-        answers = {pair: set(derived.get(pair, ())) for pair in self.query}
-        return EvalResult(self.graph, derived, answers, self.stats, self)
+        width, number, derived = len(self._nonterminals), self._number, self._derived
+        answers = {
+            (vertex, nonterminal): set(derived.get(vertex * width + number[nonterminal], ()))
+            for vertex, nonterminal in self.query
+        }
+        return EvalResult(self.graph, answers, self.stats, self)
 
 
 def evaluate(

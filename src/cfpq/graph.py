@@ -1,4 +1,4 @@
-"""Edge-labeled directed graphs stored as a triple set with a successor index.
+"""Edge-labeled directed graphs stored as one successor index.
 
 Vertices are dense integers assigned in first-appearance order; the
 original vertex tokens are kept in a side table so loaders and writers
@@ -15,6 +15,7 @@ tokens; full RDF semantics is out of scope).
 from __future__ import annotations
 
 import random
+import re
 from typing import Sequence
 
 from .errors import InvalidParams, MalformedTriple, UnknownVertex
@@ -26,20 +27,21 @@ INVERSE_SUFFIX = "^-1"
 
 
 class DataGraph:
-    """Mutable triple store ``(source, label, target)`` over dense vertex ids.
+    """Mutable store of labeled edges ``(source, label, target)`` over dense vertex ids.
 
-    ``triples`` is the authoritative edge set; ``index`` maps
-    (source, label) to the set of targets, the one lookup the evaluator
-    needs, which it iterates directly. Treat both as read-only and go
-    through ``add_edge`` so they stay consistent.
+    ``index`` is the only copy of the edges: it maps (source, label) to
+    the set of targets, the one lookup the evaluator needs, which it
+    iterates directly. ``labels`` holds every label in use and
+    ``triples`` builds the edge set from the index on each read. Treat
+    ``index`` and ``labels`` as read-only and go through ``add_edge`` so
+    they stay consistent.
     """
 
-    __slots__ = ("_names", "_ids", "triples", "labels", "index")
+    __slots__ = ("_names", "_ids", "labels", "index")
 
     def __init__(self) -> None:
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
-        self.triples: set[Triple] = set()
         self.labels: set[Symbol] = set()
         self.index: dict[tuple[int, Symbol], set[int]] = {}
 
@@ -77,21 +79,28 @@ class DataGraph:
 
     # -- edges ---------------------------------------------------------
 
+    @property
+    def triples(self) -> set[Triple]:
+        """Every edge as a ``(source, label, target)`` triple, built on each read."""
+        return {(source, label, target) for (source, label), targets in self.index.items() for target in targets}
+
     def add_edge(self, source: int, label: Symbol, target: int) -> bool:
-        """Insert a triple; returns True iff it was not already present."""
+        """Insert an edge; returns True iff it was not already present."""
         n = len(self._names)
         if not (0 <= source < n and 0 <= target < n):
             raise UnknownVertex(f"edge endpoint out of range: ({source}, {label.text}, {target})")
-        triple = (source, label, target)
-        if triple in self.triples:
+        targets = self.index.get((source, label))
+        if targets is None:
+            self.index[(source, label)] = {target}
+            self.labels.add(label)
+        elif target in targets:
             return False
-        self.triples.add(triple)
-        self.labels.add(label)
-        self.index.setdefault((source, label), set()).add(target)
+        else:
+            targets.add(target)
         return True
 
     def has_edge(self, source: int, label: Symbol, target: int) -> bool:
-        return (source, label, target) in self.triples
+        return target in self.index.get((source, label), ())
 
     def successors(self, source: int, label: Symbol) -> list[int]:
         """Targets of ``label``-edges leaving ``source``, ascending."""
@@ -102,13 +111,12 @@ class DataGraph:
         g = DataGraph()
         g._names = list(self._names)
         g._ids = dict(self._ids)
-        g.triples = set(self.triples)
         g.labels = set(self.labels)
         g.index = {key: set(targets) for key, targets in self.index.items()}
         return g
 
     def __repr__(self) -> str:
-        return f"DataGraph(|V|={len(self._names)}, |E|={len(self.triples)})"
+        return f"DataGraph(|V|={len(self._names)}, |E|={sum(map(len, self.index.values()))})"
 
 
 # -- text formats -------------------------------------------------------
@@ -139,9 +147,13 @@ def load_triples(text: str, add_inverses: bool = False) -> DataGraph:
 
 
 def _add_inverses(g: DataGraph) -> None:
-    """Add (o, p^-1, s) to ``g`` in place for every triple it holds now."""
+    """Add (o, p^-1, s) to ``g`` in place for every triple it holds now.
+
+    Iterates a snapshot: when ``g`` holds both p and p^-1 edges, the
+    index sets being read would otherwise grow while they are iterated.
+    """
     inverse = {p: sym(p.text + INVERSE_SUFFIX) for p in g.labels}
-    for s, p, o in list(g.triples):
+    for s, p, o in g.triples:
         g.add_edge(o, inverse[p], s)
 
 
@@ -153,7 +165,7 @@ def with_inverses(g: DataGraph) -> DataGraph:
 
 
 def to_tsv(g: DataGraph) -> str:
-    """Render the triple set as sorted TSV lines with external names."""
+    """Render every edge as sorted TSV lines with external names."""
     rows = sorted((s, label.text, t) for s, label, t in g.triples)
     return "".join(f"{g.vertex_name(s)}\t{label}\t{g.vertex_name(t)}\n" for s, label, t in rows)
 
@@ -169,11 +181,18 @@ def _local_name(field: str) -> str:
     return field
 
 
+# An object term, the terminating dot and a comment. The term is an IRI,
+# a literal (with escapes and an optional language tag or datatype) or
+# any other token; a '#' inside an IRI or a literal belongs to the term.
+_COMMENTED_OBJECT = re.compile(r'(<[^>]*>|"(?:[^"\\]|\\.)*"(?:@[\w-]+|\^\^<[^>]*>)?|[^\s#<"][^\s#]*?)\s*\.\s*#.*')
+
+
 def load_ntriples(text: str, add_inverses: bool = False) -> DataGraph:
     """Thin N-Triples reader: three whitespace-separated terms and a dot.
 
     IRIs map to the token after their last '#' or '/'; anything else
     (blank nodes, literals) is kept verbatim as an opaque vertex token.
+    A ``#`` comment after the terminating dot is dropped.
     """
     g = DataGraph()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -187,6 +206,11 @@ def load_ntriples(text: str, add_inverses: bool = False) -> DataGraph:
         rest = rest.rstrip()
         if rest.endswith("."):
             rest = rest[:-1].rstrip()
+        # Only a '#' outside a single IRI can start a comment.
+        if "#" in rest and not (rest[0] == "<" and rest.find(">") == len(rest) - 1):
+            commented = _COMMENTED_OBJECT.fullmatch(rest)
+            if commented:
+                rest = commented.group(1)
         if not rest:
             raise MalformedTriple(f"line {lineno}: missing object term")
         g.add_edge(g.intern(_local_name(s)), sym(_local_name(p)), g.intern(_local_name(rest)))

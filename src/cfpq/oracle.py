@@ -64,12 +64,13 @@ def fixpoint_relations(
     after each pass; handy for asserting monotone convergence. Raises
     SizeGuardExceeded when the graph is over the triple budget.
     """
-    if len(graph.triples) > max_triples:
+    triples = graph.triples
+    if len(triples) > max_triples:
         raise SizeGuardExceeded(
-            f"input has {len(graph.triples)} triples, over the budget of {max_triples}"
+            f"input has {len(triples)} triples, over the budget of {max_triples}"
         )
     relations: dict[Symbol, Relation] = {symbol: set() for symbol in grammar.terminals}
-    for source, label, target in graph.triples:
+    for source, label, target in triples:
         if label in relations:
             relations[label].add((source, target))
     for nonterminal in grammar.nonterminals:

@@ -376,3 +376,5 @@ def test_run_state_is_not_tracked_by_the_garbage_collector():
     for waiting in ev.waiters.values():
         assert not gc.is_tracked(waiting)
         assert not any(gc.is_tracked(slot) for slot in waiting)
+    assert ev._derived
+    assert not any(gc.is_tracked(targets) for targets in ev._derived.values())

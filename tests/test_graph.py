@@ -103,6 +103,15 @@ def test_loading_with_inverses_equals_with_inverses_of_the_load(load, text):
     assert in_place.index == copied.index
 
 
+def test_inverses_of_a_graph_holding_both_directions():
+    text = "x\tp\ty\ny\tp^-1\tx\nz\tp^-1\tx\nx\tq\tx\n"
+    originals = load_triples(text).triples
+    reversed_copies = {(o, sym(p.text + "^-1"), s) for s, p, o in originals}
+    g = load_triples(text, add_inverses=True)
+    assert g.triples == originals | reversed_copies
+    assert g.vertex_count == 3
+
+
 def test_add_edge_reports_first_insertion_only(loop_graph):
     v1, v2 = loop_graph.vertex_id("1"), loop_graph.vertex_id("2")
     assert loop_graph.add_edge(v1, sym("S"), v2) is True
@@ -244,6 +253,20 @@ def test_ntriples_tokenizer_maps_iris_to_local_names():
     assert g.has_vertex("_:b0")
     assert g.has_vertex('"some literal"')
     assert g.has_edge(g.vertex_id("Cat"), sym("subClassOf"), g.vertex_id("Animal"))
+
+
+@pytest.mark.parametrize(
+    "obj, name",
+    [
+        ("<http://e/y> . # note", "y"),
+        ('"a . # b" . # note', '"a . # b"'),
+        ("<http://e/ns#y> .", "y"),
+    ],
+)
+def test_ntriples_trailing_comment_is_not_part_of_the_object(obj, name):
+    g = load_ntriples(f"<http://e/x> <http://e/p> {obj}\n<http://e/x> <http://e/q> <http://e/y> .\n")
+    assert g.has_edge(g.vertex_id("x"), sym("p"), g.vertex_id(name))
+    assert g.vertex_count == (2 if name == "y" else 3)
 
 
 def test_ntriples_inverses():

@@ -45,7 +45,8 @@ def grammars(draw) -> Grammar:
 
 
 @st.composite
-def graphs(draw) -> DataGraph:
+def graphs_with_edges(draw) -> tuple[DataGraph, list[tuple[int, str, int]]]:
+    """A small graph and the edge list it was built from, duplicates included."""
     n = draw(st.integers(1, 5))
     g = DataGraph()
     for i in range(n):
@@ -62,7 +63,11 @@ def graphs(draw) -> DataGraph:
     )
     for s, label, t in edges:
         g.add_edge(s, sym(label), t)
-    return g
+    return g, edges
+
+
+def graphs():
+    return graphs_with_edges().map(lambda drawn: drawn[0])
 
 
 def _nullable(grammar: Grammar) -> set:
@@ -151,13 +156,17 @@ def test_one_vertex_stepping_reaches_the_same_fixpoint(grammar, graph, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(graphs())
-def test_successor_index_is_consistent(graph):
+@given(graphs_with_edges())
+def test_successor_index_is_consistent(drawn):
+    graph, edges = drawn
+    expected = {(s, sym(label), t) for s, label, t in edges}
+    assert graph.triples == expected
+    assert graph.labels == {label for _, label, _ in expected}
     for v in graph.vertices():
-        for label in graph.labels:
-            assert graph.successors(v, label) == sorted(
-                {t for s, l, t in graph.triples if s == v and l == label}
-            )
+        for label in map(sym, TERMINAL_POOL):
+            assert graph.successors(v, label) == sorted({t for s, l, t in expected if s == v and l == label})
+            for t in graph.vertices():
+                assert graph.has_edge(v, label, t) == ((v, label, t) in expected)
 
 
 @settings(max_examples=80, deadline=None)
