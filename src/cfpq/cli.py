@@ -156,7 +156,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _stat_lines(
         [
             ("vertices", graph.vertex_count),
-            ("input_triples", len(graph.triples)),
+            ("input_triples", graph.edge_count),
             *result.stats.as_dict().items(),
             ("elapsed_ms", f"{elapsed_ms:.3f}"),
             ("results", total),
@@ -169,7 +169,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     _, load = _graph_source(args, None, args.kind, args.n)
     graph = load()
     _write_output(to_tsv(graph), args.out)
-    _stat_lines([("vertices", graph.vertex_count), ("triples", len(graph.triples))])
+    _stat_lines([("vertices", graph.vertex_count), ("triples", graph.edge_count)])
     return 0
 
 
@@ -261,7 +261,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     Path(grammar_path).stem,
                     desc,
                     str(graph.vertex_count),
-                    str(len(graph.triples)),
+                    str(graph.edge_count),
                     str(first_total),
                     f"{sum(times) / len(times):.3f}",
                     str(stats.items_created),

@@ -13,8 +13,9 @@ enters a position set also enters the slot's pending delta, and the
 slot is queued when its delta turns non-empty. Processing a slot takes
 its whole delta at once (semi-naive evaluation):
 
-* before a terminal, the delta's successor sets under that label are
-  unioned into the next position set;
+* before a terminal, the graph's adjacency for that label is looked up
+  once, and the delta's successor sets in it are unioned into the next
+  position set;
 * before a nonterminal N, each delta vertex v either spawns the items of
   (v, N) or contributes the edges already derived for (v, N); either way
   the next slot is registered as a waiter of (v, N);
@@ -331,12 +332,13 @@ class Evaluation:
             number = numbers[position]
             out: set[int] = set()
             if number < 0:
-                symbol = production.rhs[position]
-                successors = self.graph.index.get
-                for vertex in delta:
-                    targets = successors((vertex, symbol))
-                    if targets:
-                        out |= targets
+                by_source = self.graph.index.get(production.rhs[position])
+                if by_source:
+                    successors = by_source.get
+                    for vertex in delta:
+                        targets = successors(vertex)
+                        if targets:
+                            out |= targets
             else:
                 width = len(self._nonterminals)
                 waiters, derived = self.waiters, self._derived
@@ -473,15 +475,14 @@ def final_items(result: EvalResult) -> list[str]:
 
 
 def results_tsv(result: EvalResult) -> str:
-    """Answer rows as ``source<TAB>nonterminal<TAB>target`` TSV text.
+    """Answer rows as ``source<TAB>nonterminal<TAB>target`` TSV text, LF-terminated, sorted.
 
-    Rows are sorted ascending lexicographically, newline-terminated with
-    LF; the same answers always render to the same bytes.
+    Rows come in groups, one per answer set, sorted by the unique key (source name, nonterminal), then by target name.
     """
-    graph = result.graph
-    rows = sorted(
-        (graph.vertex_name(vertex), nonterminal.text, graph.vertex_name(target))
-        for (vertex, nonterminal), targets in result.answers.items()
-        for target in targets
-    )
-    return "".join("\t".join(row) + "\n" for row in rows)
+    names = result.graph.vertex_names
+    groups = sorted((names[vertex], nt.text, targets) for (vertex, nt), targets in result.answers.items() if targets)
+    parts = []
+    for source, nonterminal, targets in groups:
+        prefix = f"{source}\t{nonterminal}\t"
+        parts.append(prefix + ("\n" + prefix).join(sorted(map(names.__getitem__, targets))) + "\n")
+    return "".join(parts)

@@ -83,7 +83,7 @@ class Grammar:
     must then own at least one production.
     """
 
-    __slots__ = ("productions", "start", "nonterminals", "terminals", "max_rhs_len", "_by_lhs")
+    __slots__ = ("productions", "start", "nonterminals", "terminals", "max_rhs_len", "_by_lhs", "_hash")
 
     def __init__(
         self,
@@ -120,6 +120,8 @@ class Grammar:
         self.terminals = frozenset(s for p in prods for s in p.rhs if s not in nts)
         self.max_rhs_len = max(len(p.rhs) for p in prods)
         self._by_lhs = {a: tuple(ps) for a, ps in by_lhs.items()}
+        # Hashed once: the engine looks its per-grammar tables up by grammar.
+        self._hash = hash((prods, start, nts))
 
     def productions_of(self, a: Symbol) -> tuple[Production, ...]:
         """All productions with left-hand side ``a``, in source order."""
@@ -137,7 +139,7 @@ class Grammar:
         )
 
     def __hash__(self) -> int:
-        return hash((self.productions, self.start, self.nonterminals))
+        return self._hash
 
     def __repr__(self) -> str:
         return (

@@ -1,11 +1,14 @@
-"""Edge-labeled directed graphs stored as one successor index.
+"""Edge-labeled directed graphs stored as one label-first successor index.
 
 Vertices are dense integers assigned in first-appearance order; the
 original vertex tokens are kept in a side table so loaders and writers
 can round-trip external names. Labels are interned Symbols and the graph
-places no restriction on the label alphabet. The query engine only reads
-a graph: it keeps the nonterminal-labeled edges it derives in a store of
-its own, so many queries can share one loaded graph.
+places no restriction on the label alphabet. The edges live in one
+index, label -> source -> set of targets: one adjacency per label, as
+the matrix formulation of CFPQ keeps one Boolean matrix per terminal.
+The query engine only reads a graph: it keeps the nonterminal-labeled
+edges it derives in a store of its own, so many queries can share one
+loaded graph.
 
 Also home to the synthetic generators used by the benchmark CLI and a
 thin N-Triples pre-tokenizer (IRIs and literals become opaque local-name
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import random
 import re
-from typing import Sequence
+from typing import KeysView, Sequence
 
 from .errors import InvalidParams, MalformedTriple, UnknownVertex
 from .grammar import Symbol, as_symbol, sym
@@ -29,21 +32,21 @@ INVERSE_SUFFIX = "^-1"
 class DataGraph:
     """Mutable store of labeled edges ``(source, label, target)`` over dense vertex ids.
 
-    ``index`` is the only copy of the edges: it maps (source, label) to
-    the set of targets, the one lookup the evaluator needs, which it
-    iterates directly. ``labels`` holds every label in use and
-    ``triples`` builds the edge set from the index on each read. Treat
-    ``index`` and ``labels`` as read-only and go through ``add_edge`` so
-    they stay consistent.
+    ``index`` is the only copy of the edges, label first: it maps a
+    label to a dict from source vertex to the set of targets, so one
+    label lookup serves every source, the way the evaluator's terminal
+    steps read it. ``labels`` is a live view of the index's keys, the
+    labels in use, and ``triples`` builds the edge set from the index on
+    each read. Treat ``index`` as read-only and go through ``add_edge``
+    so it stays consistent.
     """
 
-    __slots__ = ("_names", "_ids", "labels", "index")
+    __slots__ = ("_names", "_ids", "index")
 
     def __init__(self) -> None:
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
-        self.labels: set[Symbol] = set()
-        self.index: dict[tuple[int, Symbol], set[int]] = {}
+        self.index: dict[Symbol, dict[int, set[int]]] = {}
 
     # -- vertices ------------------------------------------------------
 
@@ -53,6 +56,11 @@ class DataGraph:
 
     def vertices(self) -> range:
         return range(len(self._names))
+
+    @property
+    def vertex_names(self) -> Sequence[str]:
+        """Every vertex name, indexed by id: the graph's own list, not a copy, so only read it."""
+        return self._names
 
     def intern(self, name: str) -> int:
         """Return the id of ``name``, adding a new vertex on first sight."""
@@ -80,19 +88,36 @@ class DataGraph:
     # -- edges ---------------------------------------------------------
 
     @property
+    def labels(self) -> KeysView[Symbol]:
+        """Every label of some edge, a read-only view of the index's keys."""
+        return self.index.keys()
+
+    @property
     def triples(self) -> set[Triple]:
         """Every edge as a ``(source, label, target)`` triple, built on each read."""
-        return {(source, label, target) for (source, label), targets in self.index.items() for target in targets}
+        return {
+            (source, label, target)
+            for label, by_source in self.index.items()
+            for source, targets in by_source.items()
+            for target in targets
+        }
+
+    @property
+    def edge_count(self) -> int:
+        """Number of edges, summed over the index's target sets."""
+        return sum(sum(map(len, by_source.values())) for by_source in self.index.values())
 
     def add_edge(self, source: int, label: Symbol, target: int) -> bool:
         """Insert an edge; returns True iff it was not already present."""
         n = len(self._names)
         if not (0 <= source < n and 0 <= target < n):
             raise UnknownVertex(f"edge endpoint out of range: ({source}, {label.text}, {target})")
-        targets = self.index.get((source, label))
+        by_source = self.index.get(label)
+        if by_source is None:
+            by_source = self.index[label] = {}
+        targets = by_source.get(source)
         if targets is None:
-            self.index[(source, label)] = {target}
-            self.labels.add(label)
+            by_source[source] = {target}
         elif target in targets:
             return False
         else:
@@ -100,23 +125,26 @@ class DataGraph:
         return True
 
     def has_edge(self, source: int, label: Symbol, target: int) -> bool:
-        return target in self.index.get((source, label), ())
+        by_source = self.index.get(label)
+        return by_source is not None and target in by_source.get(source, ())
 
     def successors(self, source: int, label: Symbol) -> list[int]:
         """Targets of ``label``-edges leaving ``source``, ascending."""
-        targets = self.index.get((source, label))
-        return sorted(targets) if targets else []
+        by_source = self.index.get(label)
+        return sorted(by_source.get(source, ())) if by_source else []
 
     def copy(self) -> DataGraph:
         g = DataGraph()
         g._names = list(self._names)
         g._ids = dict(self._ids)
-        g.labels = set(self.labels)
-        g.index = {key: set(targets) for key, targets in self.index.items()}
+        g.index = {
+            label: {source: set(targets) for source, targets in by_source.items()}
+            for label, by_source in self.index.items()
+        }
         return g
 
     def __repr__(self) -> str:
-        return f"DataGraph(|V|={len(self._names)}, |E|={sum(map(len, self.index.values()))})"
+        return f"DataGraph(|V|={len(self._names)}, |E|={self.edge_count})"
 
 
 # -- text formats -------------------------------------------------------

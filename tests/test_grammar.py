@@ -104,7 +104,9 @@ def test_rhs_symbols_partition_into_terminals_and_nonterminals():
 
 
 def test_round_trip_through_text(nesting_grammar):
-    assert parse_grammar(serialize_grammar(nesting_grammar)) == nesting_grammar
+    again = parse_grammar(serialize_grammar(nesting_grammar))
+    assert again == nesting_grammar
+    assert hash(again) == hash(nesting_grammar)
 
 
 def test_serialize_writes_epsilon_as_bare_arrow():

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from cfpq import (
+    DataGraph,
     InvalidParams,
     MalformedTriple,
     UnknownVertex,
@@ -32,6 +33,7 @@ def test_load_assigns_dense_ids_in_first_appearance_order():
 def test_loaded_example_shape(loop_graph):
     assert loop_graph.vertex_count == 4
     assert len(loop_graph.triples) == 5
+    assert loop_graph.edge_count == 5
     assert loop_graph.labels == {sym("a"), sym("b")}
 
 
@@ -110,6 +112,35 @@ def test_inverses_of_a_graph_holding_both_directions():
     g = load_triples(text, add_inverses=True)
     assert g.triples == originals | reversed_copies
     assert g.vertex_count == 3
+
+
+def test_labels_follow_add_edge():
+    g = DataGraph()
+    x, y = g.intern("x"), g.intern("y")
+    labels = g.labels
+    assert not labels
+    g.add_edge(x, sym("a"), y)
+    g.add_edge(y, sym("a"), x)
+    assert labels == {sym("a")}
+    g.add_edge(x, sym("b"), x)
+    assert labels == g.labels == {sym("a"), sym("b")}
+    with pytest.raises(AttributeError):
+        g.labels = set()
+
+
+def test_copy_is_independent_at_both_levels_of_the_index(loop_graph):
+    v1, v2, v3, v4 = (loop_graph.vertex_id(name) for name in "1234")
+    a, c = sym("a"), sym("c")
+    before = set(loop_graph.triples)
+    g = loop_graph.copy()
+    assert g.index == loop_graph.index
+    assert g.add_edge(v1, a, v4)  # into the existing (1, a) target set
+    assert g.add_edge(v2, a, v1)  # a new source under an existing label
+    assert g.add_edge(v4, c, v1)  # a new label
+    assert loop_graph.triples == before
+    assert loop_graph.successors(v1, a) == [v2, v3]
+    assert loop_graph.labels == {a, sym("b")}
+    assert g.triples == before | {(v1, a, v4), (v2, a, v1), (v4, c, v1)}
 
 
 def test_add_edge_reports_first_insertion_only(loop_graph):
@@ -230,7 +261,7 @@ def test_successor_index_matches_triple_set():
                 succ = g.successors(v, label)
                 assert succ == sorted({t for s, l, t in g.triples if s == v and l == label})
                 seen += len(succ)
-        assert seen == len(g.triples)
+        assert seen == len(g.triples) == g.edge_count
 
 
 def test_to_tsv_round_trips():

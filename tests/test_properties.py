@@ -19,6 +19,7 @@ from cfpq import (
     gen_barabasi,
     oracle_eval,
     parse_grammar,
+    preset,
     reachable_via,
     results_tsv,
     serialize_grammar,
@@ -161,12 +162,59 @@ def test_successor_index_is_consistent(drawn):
     graph, edges = drawn
     expected = {(s, sym(label), t) for s, label, t in edges}
     assert graph.triples == expected
+    assert graph.edge_count == len(expected)
     assert graph.labels == {label for _, label, _ in expected}
     for v in graph.vertices():
         for label in map(sym, TERMINAL_POOL):
             assert graph.successors(v, label) == sorted({t for s, l, t in expected if s == v and l == label})
             for t in graph.vertices():
                 assert graph.has_edge(v, label, t) == ((v, label, t) in expected)
+
+
+def _results_tsv_by_rows(result) -> str:
+    """Reference rendering: one (source, nonterminal, target) name tuple per row, all rows sorted."""
+    graph = result.graph
+    rows = sorted(
+        (graph.vertex_name(vertex), nonterminal.text, graph.vertex_name(target))
+        for (vertex, nonterminal), targets in result.answers.items()
+        for target in targets
+    )
+    return "".join("\t".join(row) + "\n" for row in rows)
+
+
+@st.composite
+def named_hierarchies(draw) -> DataGraph:
+    """A small subClassOf graph whose vertex names sort unlike their ids.
+
+    Names mix characters below the tab with ordinary ones, so a row order
+    keyed on concatenated ``name<TAB>`` text would differ from the
+    field-by-field one.
+    """
+    names = draw(st.lists(st.text("\x00\x01\x08ab", min_size=1, max_size=3), min_size=1, max_size=6, unique=True))
+    g = DataGraph()
+    for name in names:
+        g.intern(name)
+    n = len(names)
+    edges = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.sampled_from(("subClassOf", "subClassOf^-1")), st.integers(0, n - 1)),
+            max_size=12,
+        )
+    )
+    for s, label, t in edges:
+        g.add_edge(s, sym(label), t)
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(named_hierarchies(), st.data())
+def test_results_tsv_matches_the_row_sort_reference(graph, data):
+    grammar = preset("sc")  # S and B: a source's S and B answers are two groups
+    pairs = [(v, nt) for v in graph.vertices() for nt in (sym("S"), sym("B"))]
+    query = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    for discipline in ("fifo", "lifo", "random"):
+        result = evaluate(grammar, graph, query, discipline)
+        assert results_tsv(result) == _results_tsv_by_rows(result)
 
 
 @settings(max_examples=80, deadline=None)
