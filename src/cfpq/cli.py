@@ -32,7 +32,7 @@ from .oracle import DEFAULT_MAX_TRIPLES, fixpoint_relations, oracle_eval
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CfpqError(f"cannot read {path}: {exc}") from exc
 
 
@@ -131,9 +131,12 @@ def _query_from_args(args: argparse.Namespace, grammar: Grammar, graph: DataGrap
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CfpqError(f"cannot write {out}: {exc}") from exc
 
 
 def _stat_lines(pairs: list[tuple[str, object]]) -> None:

@@ -34,13 +34,25 @@ extraction is a plain lookup in it, and many queries can share one
 loaded graph. The worklist pop order (fifo, lifo or seeded random)
 changes the run, not the fixpoint.
 
+Each vertex set of the run (position set, pending delta, derived
+targets) picks its own container, as Roaring bitmaps do per chunk: a
+dict of int keys and None values while it has at most
+``max(32, vertex_count >> 6)`` members, an int bitmask above that, or
+as soon as a mask is inserted into it. A mask never turns back into a
+dict. Sparse sets stay small, and on a dense run a union is one int OR,
+as in the Boolean-matrix formulation of CFPQ. A step dispatches once on
+its delta's container: a dict delta is walked vertex by vertex, a mask
+delta's members are enumerated in C and its terminal step ORs per-source
+successor masks, built once per label and source for the evaluation.
+
 The run's state is laid out for the cyclic garbage collector to skip:
 slots and (vertex, nonterminal) pairs are ints, position sets, deltas,
-waiter lists and the derived-edge store's target sets are dicts of int
-keys and None values, which the collector does not track, and an item
-is an entry in two flat lists until someone asks for ``items``. The
-result reads that store in place: ``answers`` copies only the queried
-pairs' targets, and ``derived`` is built only when it is read.
+waiter lists and the derived-edge store's target sets are ints or dicts
+of int keys and None values, which the collector does not track, and an
+item is an entry in two flat lists until someone asks for ``items``.
+The result reads that store in place: ``answers`` copies only the
+queried pairs' targets, and ``derived`` is built only when it is read;
+both show every set as a set of vertex ids, whatever its container.
 """
 
 from __future__ import annotations
@@ -48,12 +60,82 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from itertools import compress, count
+from operator import or_
 from typing import Collection, Iterable, Iterator
 
 from .errors import InvalidParams, LabelClash, UnknownNonterminal, UnknownVertex
 from .grammar import Grammar, Production, Symbol
 from .graph import DataGraph
+
+VertexSet = dict[int, None] | int
+"""A vertex set of the run: a dict of None values keyed by vertex, or an int mask."""
+
+# Maps the digits of bin() to the bytes compress() reads as false and true.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_BIT = (1).__lshift__
+
+
+def _dict_limit(vertex_count: int) -> int:
+    """The most members a vertex set holds as a dict; a larger one is an int mask."""
+    return max(32, vertex_count >> 6)
+
+
+def _flags(mask: int) -> bytes:
+    """Byte v is 1 if vertex v is in the mask, else 0, up to its highest member."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)
+
+
+def _members(mask: int) -> Iterator[int]:
+    """The vertices of a mask, ascending, enumerated in C."""
+    return compress(count(), _flags(mask))
+
+
+def _mask_of(vertices: Collection[int]) -> int:
+    """The mask of a collection of vertices."""
+    if len(vertices) < 64:
+        return sum(map(_BIT, vertices))
+    # Summing shifted bits costs a pass over the mask per vertex; writing
+    # digits and parsing them once costs one pass in all.
+    digits = bytearray(b"0") * (max(vertices) + 1)
+    for vertex in vertices:
+        digits[vertex] = 49  # ord("1")
+    return int(digits[::-1], 2)
+
+
+class _SuccessorMasks:
+    """Per source vertex, the mask of its successors under one label.
+
+    A source's mask is built the first time a delta holds the source;
+    ``_built`` is the mask of the sources built so far.
+    """
+
+    __slots__ = ("_by_source", "_masks", "_built")
+
+    def __init__(self, by_source: dict[int, set[int]], vertex_count: int):
+        self._by_source = by_source
+        self._masks = [0] * vertex_count
+        self._built = 0
+
+    def union(self, delta: int) -> int:
+        """The mask of every successor of the vertices of ``delta``."""
+        missing = delta & ~self._built
+        if missing:
+            masks, by_source = self._masks, self._by_source
+            for vertex in _members(missing):
+                targets = by_source.get(vertex)
+                if targets:
+                    masks[vertex] = _mask_of(targets)
+            self._built |= missing
+        return reduce(or_, compress(self._masks, _flags(delta)), 0)
+
+
+def _vertices(vertex_set: VertexSet | None) -> Iterable[int]:
+    """The vertices of a set of either container, or none for None."""
+    if vertex_set.__class__ is int:
+        return _members(vertex_set)
+    return vertex_set or ()
 
 
 class TraceItem:
@@ -63,7 +145,9 @@ class TraceItem:
     ``slot + j``. The position sets and pending deltas live in the
     evaluation's per-slot stores, and the item reads its own through
     ``sets`` and ``pending``. For a right-hand side of n symbols there
-    are n+1 positions; position 0 starts out holding the origin.
+    are n+1 positions; position 0 starts out holding the origin. The
+    stores hold each set as a dict or an int mask (see ``Evaluation``);
+    ``sets`` and ``pending`` read both alike.
     """
 
     __slots__ = ("production", "origin", "slot", "_sets", "_pending")
@@ -73,8 +157,8 @@ class TraceItem:
         production: Production,
         origin: int,
         slot: int,
-        sets: list[dict[int, None] | None],
-        pending: dict[int, dict[int, None]],
+        sets: list[VertexSet | None],
+        pending: dict[int, VertexSet],
     ):
         self.production = production
         self.origin = origin
@@ -84,14 +168,17 @@ class TraceItem:
 
     @property
     def sets(self) -> list[dict[int, None]]:
-        """Per position, the position set as a dict keyed by vertex id."""
+        """Per position, the position set as a dict keyed by vertex id; a mask's come ascending."""
         end = self.slot + len(self.production.rhs) + 1
-        return [position_set or {} for position_set in self._sets[self.slot : end]]
+        return [
+            position_set if position_set.__class__ is dict else dict.fromkeys(_vertices(position_set))
+            for position_set in self._sets[self.slot : end]
+        ]
 
     @property
     def pending(self) -> list[set[int]]:
         """Per position, the vertices of the position set not yet processed."""
-        return [set(self._pending.get(self.slot + j, ())) for j in range(len(self.production.rhs) + 1)]
+        return [set(_vertices(self._pending.get(self.slot + j))) for j in range(len(self.production.rhs) + 1)]
 
     def __repr__(self) -> str:
         return f"TraceItem({self.production!r}, origin={self.origin})"
@@ -224,9 +311,16 @@ class Evaluation:
     * ``waiters``: pair -> the slots right after that nonterminal that
       must hear about the pair's new derived edges; a pair has an entry
       iff its items have been spawned, so each pair spawns at most once;
-    * the derived-edge store, pair -> targets (a dict of None values),
-      read as ``derived`` with (origin, nonterminal) keys and target sets;
+    * the derived-edge store, pair -> targets, read as ``derived`` with
+      (origin, nonterminal) keys and target sets;
     * ``worklist``: the slots whose delta is non-empty.
+
+    Each position set, delta and target set is a dict of None values
+    while it has at most ``_dict_limit(vertex_count)`` members, and an
+    int mask (bit v set for vertex v) once it has more. A position set
+    also turns into a mask when a mask is inserted into it, and its
+    delta turns with it, so a slot's delta always has the container of
+    its position set. A mask never turns back into a dict during a run.
     """
 
     def __init__(
@@ -248,9 +342,12 @@ class Evaluation:
         self.waiters: dict[int, dict[int, None]] = {}
         self.worklist = Worklist(discipline, seed)
         self.stats = Stats()
-        self._sets: list[dict[int, None] | None] = []
-        self._pending: dict[int, dict[int, None]] = {}
-        self._derived: dict[int, dict[int, None]] = {}
+        self._sets: list[VertexSet | None] = []
+        self._pending: dict[int, VertexSet] = {}
+        self._derived: dict[int, VertexSet] = {}
+        self._limit = _dict_limit(graph.vertex_count)
+        # Per label, the successor masks of the sources mask steps have read.
+        self._successor_masks: dict[Symbol, _SuccessorMasks] = {}
         self._width = grammar.max_rhs_len + 1
         self._nonterminals, self._number, self._rules = _grammar_tables(grammar)
         # Per item index, its rule and its origin. TraceItem views are
@@ -279,13 +376,14 @@ class Evaluation:
         self.waiters[key] = {}
         rules = self._rules[number]
         blank = [None] * self._width
+        as_mask = self._limit < 1
         for rule in rules:
             slot = len(self._sets)
             self._item_rules.append(rule)
             self._origins.append(origin)
             self._sets += blank
-            self._sets[slot] = {origin: None}
-            self._pending[slot] = {origin: None}
+            self._sets[slot] = 1 << origin if as_mask else {origin: None}
+            self._pending[slot] = 1 << origin if as_mask else {origin: None}
             self.worklist.push(slot)
         self.stats.items_created += len(rules)
         self.stats.insertions += len(rules)
@@ -299,6 +397,9 @@ class Evaluation:
         seen = self._sets[slot]
         if seen is None:
             seen = self._sets[slot] = {}
+        elif seen.__class__ is int:
+            self._insert_mask(slot, _mask_of(new))
+            return
         else:
             new = new.difference(seen)
             if not new:
@@ -315,22 +416,54 @@ class Evaluation:
         self.stats.insertions += len(fresh)
         delta = self._pending.get(slot)
         if delta is None:
-            self._pending[slot] = fresh
+            self._pending[slot] = delta = fresh
             self.worklist.push(slot)
         else:
             delta.update(fresh)
+        if len(seen) > self._limit:
+            self._sets[slot] = _mask_of(seen)
+            self._pending[slot] = _mask_of(delta)
 
-    def _process(self, slot: int, delta: dict[int, None]) -> None:
+    def _insert_mask(self, slot: int, new: int) -> None:
+        """``_insert`` of a mask: the position set and its delta become masks if they are not."""
+        seen = self._sets[slot]
+        pending = self._pending
+        if seen is None:
+            fresh = new
+        else:
+            if seen.__class__ is not int:
+                seen = _mask_of(seen)
+                delta = pending.get(slot)
+                if delta is not None:
+                    pending[slot] = _mask_of(delta)
+            fresh = new & ~seen
+            new |= seen
+        self._sets[slot] = new
+        if not fresh:
+            return
+        self.stats.insertions += fresh.bit_count()
+        delta = pending.get(slot)
+        if delta is None:
+            pending[slot] = fresh
+            self.worklist.push(slot)
+        else:
+            pending[slot] = delta | fresh
+
+    def _process(self, slot: int, delta: VertexSet) -> None:
         """Process ``delta``, vertices of ``slot``'s set no step has seen yet.
 
         ``delta`` is handed over: the step may keep it.
         """
+        if delta.__class__ is int:
+            self._process_mask(slot, delta)
+            return
         self.stats.pops += len(delta)
         index, position = divmod(slot, self._width)
         production, lhs, numbers = self._item_rules[index]
         if position < len(numbers):
             number = numbers[position]
             out: set[int] = set()
+            mask = 0
             if number < 0:
                 by_source = self.graph.index.get(production.rhs[position])
                 if by_source:
@@ -354,9 +487,14 @@ class Evaluation:
                     else:
                         targets = derived.get(key)
                         if targets:
-                            out.update(targets)
+                            if targets.__class__ is int:
+                                mask |= targets
+                            else:
+                                out.update(targets)
                     waiting[slot + 1] = None
-            if out:
+            if mask:
+                self._insert_mask(slot + 1, mask | _mask_of(out))
+            elif out:
                 self._insert(slot + 1, out)
         else:
             # Last set: the origin reaches these vertices along the whole
@@ -366,6 +504,12 @@ class Evaluation:
             if targets is None:
                 self._derived[key] = delta
                 new = set(delta)
+            elif targets.__class__ is int:
+                # New targets stay a set, so the waiters' dict sets stay dicts.
+                new = {vertex for vertex in delta if not targets >> vertex & 1}
+                if not new:
+                    return
+                self._derived[key] = targets | _mask_of(new)
             else:
                 # set.difference looks each delta vertex up in ``targets``;
                 # ``delta.keys() - targets`` would iterate all of ``targets``.
@@ -373,9 +517,66 @@ class Evaluation:
                 if not new:
                     return
                 targets.update(delta)
+                if len(targets) > self._limit:
+                    self._derived[key] = _mask_of(targets)
             self.stats.edges_added += len(new)
             for waiting_slot in self.waiters[key]:
                 self._insert(waiting_slot, new)
+
+    def _process_mask(self, slot: int, delta: int) -> None:
+        """``_process`` of a mask delta: its members are walked in C, its unions are int ORs."""
+        self.stats.pops += delta.bit_count()
+        index, position = divmod(slot, self._width)
+        production, lhs, numbers = self._item_rules[index]
+        if position < len(numbers):
+            number = numbers[position]
+            out = 0
+            if number < 0:
+                label = production.rhs[position]
+                by_source = self.graph.index.get(label)
+                if by_source:
+                    masks = self._successor_masks.get(label)
+                    if masks is None:
+                        masks = self._successor_masks[label] = _SuccessorMasks(by_source, self.graph.vertex_count)
+                    out = masks.union(delta)
+            else:
+                width = len(self._nonterminals)
+                waiters, derived = self.waiters, self._derived
+                for vertex in _members(delta):
+                    key = vertex * width + number
+                    waiting = waiters.get(key)
+                    if waiting is None:
+                        self._spawn(key)
+                        waiting = waiters[key]
+                    else:
+                        targets = derived.get(key)
+                        if targets:
+                            out |= targets if targets.__class__ is int else _mask_of(targets)
+                    waiting[slot + 1] = None
+            if out:
+                self._insert_mask(slot + 1, out)
+        else:
+            key = self._origins[index] * len(self._nonterminals) + lhs
+            targets = self._derived.get(key)
+            if targets is None:
+                self._derived[key] = new = delta
+            elif targets.__class__ is int:
+                new = delta & ~targets
+                if not new:
+                    return
+                self._derived[key] = targets | new
+            else:
+                known = _mask_of(targets)
+                new = delta & ~known
+                if not new:
+                    return
+                if len(targets) + new.bit_count() > self._limit:
+                    self._derived[key] = known | new
+                else:
+                    targets.update(dict.fromkeys(_members(new)))
+            self.stats.edges_added += new.bit_count()
+            for waiting_slot in self.waiters[key]:
+                self._insert_mask(waiting_slot, new)
 
     def step(self) -> bool:
         """Process one pending slot's whole delta; False once the worklist is empty."""
@@ -394,13 +595,18 @@ class Evaluation:
         """
         slot = item.slot + position
         delta = self._pending.get(slot)
-        if delta is None or vertex not in delta:
+        if delta is None or vertex not in _vertices(delta):
             raise InvalidParams(f"vertex {vertex} is not pending at position {position} of {item!r}")
-        del delta[vertex]
+        if delta.__class__ is int:
+            single = 1 << vertex
+            delta = self._pending[slot] = delta ^ single
+        else:
+            single = {vertex: None}
+            del delta[vertex]
         if not delta:
             del self._pending[slot]
             self.worklist.remove(slot)
-        self._process(slot, {vertex: None})
+        self._process(slot, single)
 
     @property
     def items(self) -> list[TraceItem]:
@@ -416,7 +622,8 @@ class Evaluation:
         """The derived-edge store keyed by (origin, nonterminal), built on each read."""
         width = len(self._nonterminals)
         return {
-            (key // width, self._nonterminals[key % width]): set(targets) for key, targets in self._derived.items()
+            (key // width, self._nonterminals[key % width]): set(_vertices(targets))
+            for key, targets in self._derived.items()
         }
 
     def run(self) -> EvalResult:
@@ -431,7 +638,7 @@ class Evaluation:
     def result(self) -> EvalResult:
         width, number, derived = len(self._nonterminals), self._number, self._derived
         answers = {
-            (vertex, nonterminal): set(derived.get(vertex * width + number[nonterminal], ()))
+            (vertex, nonterminal): set(_vertices(derived.get(vertex * width + number[nonterminal])))
             for vertex, nonterminal in self.query
         }
         return EvalResult(self.graph, answers, self.stats, self)

@@ -250,9 +250,14 @@ def load_ntriples(text: str, add_inverses: bool = False) -> DataGraph:
 # -- synthetic generators ------------------------------------------------
 
 
-def _fresh(n: int) -> DataGraph:
+def _check_size(n: int) -> None:
+    """Reject a negative generator size, naming the value the caller passed."""
     if n < 0:
-        raise InvalidParams(f"vertex count must be >= 0, got {n}")
+        raise InvalidParams(f"n must be >= 0, got {n}")
+
+
+def _fresh(n: int) -> DataGraph:
+    _check_size(n)
     g = DataGraph()
     for i in range(n):
         g.intern(str(i))
@@ -279,6 +284,7 @@ def gen_complete(n: int, labels: Sequence[str | Symbol] = ("a",)) -> DataGraph:
 
 def gen_ablist(n: int) -> DataGraph:
     """Chain of 2n+1 vertices tracing the word a^n b^n."""
+    _check_size(n)
     g = _fresh(2 * n + 1)
     a, b = sym("a"), sym("b")
     for i in range(n):
@@ -290,6 +296,7 @@ def gen_ablist(n: int) -> DataGraph:
 
 def gen_string(n: int, label: str | Symbol = "s") -> DataGraph:
     """Chain of n+1 vertices connected by n same-labeled edges."""
+    _check_size(n)
     g = _fresh(n + 1)
     lab = as_symbol(label)
     for i in range(n):

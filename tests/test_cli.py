@@ -108,6 +108,40 @@ def test_eval_missing_file_is_a_clean_error(workdir, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("role", ["grammar", "graph", "query"])
+def test_eval_non_utf8_file_is_a_clean_error(workdir, capsys, role):
+    files = {"grammar": workdir / "g.cfg", "graph": workdir / "d.tsv", "query": workdir / "q.tsv"}
+    files[role] = workdir / "latin1.txt"
+    files[role].write_bytes("caf\xe9\tS\n".encode("latin-1"))
+    code = main(["eval", *(f"--{name}={path}" for name, path in files.items())])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "latin1.txt" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["eval", "--grammar", "{dir}/g.cfg", "--graph", "{dir}/d.tsv"],
+        ["gen", "ablist", "--n", "2"],
+        ["bench", "--grammar", "{dir}/g.cfg", "--gen", "ablist", "--n", "2"],
+    ],
+    ids=["eval", "gen", "bench"],
+)
+def test_out_into_a_missing_directory_is_a_clean_error(workdir, capsys, command):
+    target = workdir / "no" / "such" / "dir" / "out.tsv"
+    code = main([arg.format(dir=workdir) for arg in command] + ["--out", str(target)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: cannot write" in err and str(target) in err
+
+
+@pytest.mark.parametrize("kind", ["ablist", "string"])
+def test_gen_size_error_names_the_given_n(capsys, kind):
+    assert main(["gen", kind, "--n", "-3"]) == 2
+    assert "got -3" in capsys.readouterr().err
+
+
 def test_eval_rejects_label_clash(workdir, capsys):
     tainted = workdir / "t.tsv"
     tainted.write_text("1\tS\t2\n")

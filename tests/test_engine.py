@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import gc
+import random
 
 import pytest
 
+from cfpq import engine
 from cfpq import (
     Evaluation,
     InvalidParams,
@@ -23,6 +25,7 @@ from cfpq import (
     render_item,
     results_tsv,
     sym,
+    with_inverses,
 )
 
 # Frozen fixpoint of the worked example under the query {(1,S),(3,S)}:
@@ -360,21 +363,39 @@ def test_worklist_disciplines():
 
 
 def test_run_state_is_not_tracked_by_the_garbage_collector():
-    grammar = preset("ab_ambiguous")
-    graph = gen_barabasi(40, 3, seed=2, labels=("a", "b"))
-    ev = Evaluation(grammar, graph, [(v, grammar.start) for v in graph.vertices()])
-    for _ in range(60):
-        ev.step()
-    slots = list(ev.worklist)
-    assert slots
-    assert not any(gc.is_tracked(slot) for slot in slots)
-    ev.run()
-    position_sets = [s for item in ev.items for s in item.sets]
-    assert sum(map(len, position_sets)) == ev.stats.insertions
-    assert not any(gc.is_tracked(s) for s in position_sets)
-    assert ev.waiters
-    for waiting in ev.waiters.values():
-        assert not gc.is_tracked(waiting)
-        assert not any(gc.is_tracked(slot) for slot in waiting)
-    assert ev._derived
-    assert not any(gc.is_tracked(targets) for targets in ev._derived.values())
+    sparse = (preset("ab_ambiguous"), gen_barabasi(40, 3, seed=2, labels=("a", "b")))
+    # sets of this hierarchy pass the dict limit, so the run holds masks too
+    dense = (preset("sc_t"), with_inverses(gen_barabasi(200, 3, seed=1, labels=("subClassOf", "type"))))
+    for grammar, graph in (sparse, dense):
+        ev = Evaluation(grammar, graph, [(v, grammar.start) for v in graph.vertices()])
+        for _ in range(60):
+            ev.step()
+        slots = list(ev.worklist)
+        assert slots
+        assert not any(gc.is_tracked(slot) for slot in slots)
+        assert not any(gc.is_tracked(delta) for delta in ev._pending.values())
+        ev.run()
+        position_sets = [s for item in ev.items for s in item.sets]
+        assert sum(map(len, position_sets)) == ev.stats.insertions
+        assert not any(gc.is_tracked(s) for s in ev._sets)
+        assert ev.waiters
+        for waiting in ev.waiters.values():
+            assert not gc.is_tracked(waiting)
+            assert not any(gc.is_tracked(slot) for slot in waiting)
+        assert ev._derived
+        assert not any(gc.is_tracked(targets) for targets in ev._derived.values())
+    assert {s.__class__ for s in ev._sets if s is not None} == {dict, int}
+    assert int in {targets.__class__ for targets in ev._derived.values()}
+
+
+def test_mask_members_ascend_like_a_sorted_set():
+    rng = random.Random(7)
+    samples = [set(), {0}, {4000}] + [set(rng.sample(range(5000), rng.randrange(1, 300))) for _ in range(40)]
+    samples += [{v for v in range(3000) if bits >> v & 1} for bits in (rng.getrandbits(3000) for _ in range(20))]
+    for vertices in samples:
+        mask = engine._mask_of(vertices)
+        assert mask == sum(1 << v for v in vertices)
+        assert list(engine._members(mask)) == sorted(vertices)
+    assert list(engine._members(0)) == []
+    assert list(engine._members(1)) == [0]
+    assert list(engine._members(1 << 4000)) == [4000]

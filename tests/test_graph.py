@@ -200,6 +200,12 @@ def test_gen_string_chain():
     assert gen_string(0).triples == set()
 
 
+@pytest.mark.parametrize("generator", [gen_ablist, gen_string])
+def test_chain_generators_reject_a_negative_size_by_its_value(generator):
+    with pytest.raises(InvalidParams, match="got -3$"):
+        generator(-3)
+
+
 def test_gen_cycle_ring():
     g = gen_cycle(3, "s")
     assert g.triples == {(0, sym("s"), 1), (1, sym("s"), 2), (2, sym("s"), 0)}

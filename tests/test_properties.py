@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from itertools import accumulate
+from contextlib import contextmanager
+from itertools import accumulate, product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfpq import engine
 from cfpq import (
     DataGraph,
     Evaluation,
@@ -26,6 +29,25 @@ from cfpq import (
     sym,
     to_tsv,
 )
+
+# The engine's dict limit, swept: every set a mask, every set a dict, sets
+# of two or more members as masks (both containers meet), and the default,
+# which the small graphs drawn here never pass.
+DICT_LIMITS = {
+    "masks": lambda vertex_count: -1,
+    "dicts": lambda vertex_count: 1 << 62,
+    "mixed": lambda vertex_count: 1,
+    "default": engine._dict_limit,
+}
+
+
+@contextmanager
+def _dict_limit(name: str):
+    """Patch the named entry of DICT_LIMITS into the engine."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_dict_limit", DICT_LIMITS[name])
+        yield
+
 
 NONTERMINAL_POOL = ("S", "A", "B")
 TERMINAL_POOL = ("a", "b")
@@ -97,13 +119,20 @@ def test_engine_agrees_with_reference_and_itself(grammar, graph):
         return set(graph.triples), set(graph.labels), successors
 
     before = input_snapshot()
-    renderings = set()
-    for discipline, seed in (("fifo", 0), ("lifo", 0), ("random", 0), ("random", 9)):
-        result = evaluate(grammar, graph, query, discipline, seed)
+    renderings, counters = set(), set()
+    for limit, (discipline, seed) in product(DICT_LIMITS, (("fifo", 0), ("lifo", 0), ("random", 0), ("random", 9))):
+        with _dict_limit(limit):
+            result = evaluate(grammar, graph, query, discipline, seed)
         # the input graph is only read, never written
         assert input_snapshot() == before
         assert result.answers == expected
         renderings.add(results_tsv(result))
+        counters.add(tuple(result.stats.as_dict().items()))
+        containers = {s.__class__ for s in result.evaluation._sets if s is not None}
+        if limit == "masks":
+            assert containers <= {int}
+        elif limit == "dicts":
+            assert containers <= {dict}
 
         stats = result.stats
         v, p, k = graph.vertex_count, len(grammar.productions), grammar.max_rhs_len
@@ -127,6 +156,7 @@ def test_engine_agrees_with_reference_and_itself(grammar, graph):
                 assert item.origin in result.derived.get((item.origin, item.production.lhs), ())
 
     assert len(renderings) == 1
+    assert len(counters) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,26 +164,31 @@ def test_engine_agrees_with_reference_and_itself(grammar, graph):
 def test_one_vertex_stepping_reaches_the_same_fixpoint(grammar, graph, seed):
     """Process pending vertices one at a time, in a seeded random order."""
     query = [(v, grammar.start) for v in graph.vertices()]
-    ev = Evaluation(grammar, graph, query)
-    rng = random.Random(seed)
-    while True:
-        pending = [
-            (item, j, vertex)
-            for item in ev.items
-            for j, vertices in enumerate(item.pending)
-            for vertex in sorted(vertices)
-        ]
-        if not pending:
-            break
-        ev.process_slot(*rng.choice(pending))
-    assert len(ev.worklist) == 0
-    stepped = ev.result()
-    assert stepped.stats.pops == stepped.stats.insertions
-    for discipline in ("fifo", "lifo", "random"):
-        ran = evaluate(grammar, graph, query, discipline, seed)
-        assert final_items(stepped) == final_items(ran)
-        assert stepped.answers == ran.answers
-        assert stepped.stats.as_dict() == ran.stats.as_dict()
+    table = fixpoint_relations(grammar, graph)
+    expected = {(v, grammar.start): oracle_eval(table, v, grammar.start) for v in graph.vertices()}
+    for limit in DICT_LIMITS:
+        with _dict_limit(limit):
+            ev = Evaluation(grammar, graph, query)
+            rng = random.Random(seed)
+            while True:
+                pending = [
+                    (item, j, vertex)
+                    for item in ev.items
+                    for j, vertices in enumerate(item.pending)
+                    for vertex in sorted(vertices)
+                ]
+                if not pending:
+                    break
+                ev.process_slot(*rng.choice(pending))
+            assert len(ev.worklist) == 0
+            stepped = ev.result()
+            assert stepped.stats.pops == stepped.stats.insertions
+            assert stepped.answers == expected
+            runs = [evaluate(grammar, graph, query, discipline, seed) for discipline in ("fifo", "lifo", "random")]
+        for ran in runs:
+            assert final_items(stepped) == final_items(ran)
+            assert stepped.answers == ran.answers
+            assert stepped.stats.as_dict() == ran.stats.as_dict()
 
 
 @settings(max_examples=60, deadline=None)
