@@ -20,12 +20,12 @@ import inspect
 import sys
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
-from .engine import evaluate, results_tsv
+from .engine import evaluate, results_tsv_groups
 from .errors import CfpqError
 from .grammar import Grammar, Symbol, parse_grammar, sym
-from .graph import GENERATORS, DataGraph, load_ntriples, load_triples, to_tsv, with_inverses
+from .graph import GENERATORS, DataGraph, _add_inverses, load_ntriples, load_triples, to_tsv
 from .oracle import DEFAULT_MAX_TRIPLES, fixpoint_relations, oracle_eval
 
 
@@ -72,7 +72,9 @@ def _graph_source(
 
     def load() -> DataGraph:
         graph = generator(**params)
-        return with_inverses(graph) if args.add_inverses else graph
+        if args.add_inverses:
+            _add_inverses(graph)
+        return graph
 
     return f"{kind}({','.join(shown)})", load
 
@@ -128,13 +130,14 @@ def _query_from_args(args: argparse.Namespace, grammar: Grammar, graph: DataGrap
     return [(vertex, nonterminal) for vertex in graph.vertices()]
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(chunks: Iterable[str], out: str | None) -> None:
+    """Write the text chunks to file ``out``, or to stdout if it is None, one at a time."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise CfpqError(f"cannot write {out}: {exc}") from exc
 
@@ -154,15 +157,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     result = evaluate(grammar, graph, query, args.discipline, args.seed)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    _write_output(results_tsv(result), args.out)
-    total = sum(len(targets) for targets in result.answers.values())
+    _write_output(results_tsv_groups(result), args.out)
     _stat_lines(
         [
             ("vertices", graph.vertex_count),
             ("input_triples", graph.edge_count),
             *result.stats.as_dict().items(),
             ("elapsed_ms", f"{elapsed_ms:.3f}"),
-            ("results", total),
+            ("results", result.answer_count),
         ]
     )
     return 0
@@ -171,7 +173,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     _, load = _graph_source(args, None, args.kind, args.n)
     graph = load()
-    _write_output(to_tsv(graph), args.out)
+    _write_output((to_tsv(graph),), args.out)
     _stat_lines([("vertices", graph.vertex_count), ("triples", graph.edge_count)])
     return 0
 
@@ -255,7 +257,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     started = time.perf_counter()
                     result = evaluate(grammar, graph, query, args.discipline, args.seed)
                     times.append((time.perf_counter() - started) * 1000.0)
-                    total = sum(len(t) for t in result.answers.values())
+                    total = result.answer_count
                     if first_total is None:
                         first_total, stats = total, result.stats
                     elif total != first_total:
@@ -276,7 +278,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             except CfpqError as exc:
                 failures += 1
                 print(f"bench: {Path(grammar_path).stem} x {desc}: {exc}", file=sys.stderr)
-    _write_output("\n".join(lines) + "\n", args.out)
+    _write_output(("\n".join(lines) + "\n",), args.out)
     return 1 if failures else 0
 
 

@@ -50,9 +50,12 @@ slots and (vertex, nonterminal) pairs are ints, position sets, deltas,
 waiter lists and the derived-edge store's target sets are ints or dicts
 of int keys and None values, which the collector does not track, and an
 item is an entry in two flat lists until someone asks for ``items``.
-The result reads that store in place: ``answers`` copies only the
-queried pairs' targets, and ``derived`` is built only when it is read;
-both show every set as a set of vertex ids, whatever its container.
+
+Answers are read from that store in place, after the run, with no copy
+of it: ``results_tsv_groups`` renders one (source, nonterminal) group
+of TSV rows at a time, ``answer_count`` counts the rows, and only the
+``answers`` and ``derived`` views build sets of vertex ids, ``answers``
+once on first read, ``derived`` on each read.
 """
 
 from __future__ import annotations
@@ -60,10 +63,10 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import compress, count
-from operator import or_
-from typing import Collection, Iterable, Iterator
+from operator import itemgetter, or_
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import InvalidParams, LabelClash, UnknownNonterminal, UnknownVertex
 from .grammar import Grammar, Production, Symbol
@@ -249,15 +252,32 @@ class Stats:
 class EvalResult:
     """Outcome of a run over a read-only input graph.
 
-    ``graph`` is the caller's input, unchanged. ``answers`` maps each
-    query pair to its answer set. ``evaluation`` is the finished run,
-    which ``items`` and ``derived`` read.
+    ``graph`` is the caller's input, unchanged. ``evaluation`` is the
+    finished run: ``answers``, ``answer_count``, ``derived`` and
+    ``results_tsv_groups`` read its derived-edge store, ``items`` its
+    items. Nothing is copied out of the store until it is read.
     """
 
     graph: DataGraph
-    answers: dict[tuple[int, Symbol], set[int]]
     stats: Stats
     evaluation: Evaluation = field(repr=False)
+
+    @cached_property
+    def answers(self) -> dict[tuple[int, Symbol], set[int]]:
+        """Each query pair's answer set, built on first read and kept; it may be assigned."""
+        return {
+            (vertex, nonterminal): set(_vertices(targets))
+            for vertex, nonterminal, targets in self.evaluation._answer_sets()
+        }
+
+    @property
+    def answer_count(self) -> int:
+        """The number of answer rows, counted in the store."""
+        return sum(
+            targets.bit_count() if targets.__class__ is int else len(targets)
+            for _, _, targets in self.evaluation._answer_sets()
+            if targets
+        )
 
     @property
     def items(self) -> tuple[TraceItem, ...]:
@@ -635,13 +655,14 @@ class Evaluation:
             process(slot, pending.pop(slot))
         return self.result()
 
-    def result(self) -> EvalResult:
+    def _answer_sets(self) -> Iterator[tuple[int, Symbol, VertexSet | None]]:
+        """Per query pair, its vertex, nonterminal and targets as the store holds them (None for none)."""
         width, number, derived = len(self._nonterminals), self._number, self._derived
-        answers = {
-            (vertex, nonterminal): set(_vertices(derived.get(vertex * width + number[nonterminal])))
-            for vertex, nonterminal in self.query
-        }
-        return EvalResult(self.graph, answers, self.stats, self)
+        for vertex, nonterminal in self.query:
+            yield vertex, nonterminal, derived.get(vertex * width + number[nonterminal])
+
+    def result(self) -> EvalResult:
+        return EvalResult(self.graph, self.stats, self)
 
 
 def evaluate(
@@ -681,15 +702,45 @@ def final_items(result: EvalResult) -> list[str]:
     return sorted(render_item(item, result.graph) for item in result.items)
 
 
+def _name_order(names: Sequence[str]) -> tuple[list[str], Callable[[bytes], Iterable[int]]]:
+    """The vertex names sorted, and a function putting a mask's flags, padded to every vertex, in that order."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    # itemgetter of a single index returns the item, not a 1-tuple; one
+    # vertex's padded flags already are in name order.
+    return [names[vertex] for vertex in order], itemgetter(*order) if len(order) > 1 else bytes
+
+
+def results_tsv_groups(result: EvalResult) -> Iterator[str]:
+    """``results_tsv``'s text, one (source, nonterminal) group of rows at a time.
+
+    Groups come sorted by the unique key (source name, nonterminal), so
+    the sort never compares targets, and within a group rows come by
+    target name. A dict group sorts its target names. A mask group
+    filters the name-sorted vertex list by the mask's membership bytes;
+    that list is built once per call, and only if a mask group shows up.
+    """
+    names = result.graph.vertex_names
+    groups = sorted(
+        (names[vertex], nonterminal.text, targets)
+        for vertex, nonterminal, targets in result.evaluation._answer_sets()
+        if targets
+    )
+    sorted_names = in_name_order = None
+    for source, nonterminal, targets in groups:
+        prefix = f"{source}\t{nonterminal}\t"
+        if targets.__class__ is int:
+            if sorted_names is None:
+                sorted_names, in_name_order = _name_order(names)
+            target_names = compress(sorted_names, in_name_order(_flags(targets).ljust(len(names), b"\0")))
+        else:
+            target_names = sorted(map(names.__getitem__, targets))
+        yield prefix + ("\n" + prefix).join(target_names) + "\n"
+
+
 def results_tsv(result: EvalResult) -> str:
     """Answer rows as ``source<TAB>nonterminal<TAB>target`` TSV text, LF-terminated, sorted.
 
-    Rows come in groups, one per answer set, sorted by the unique key (source name, nonterminal), then by target name.
+    The join of ``results_tsv_groups``; write those groups out one at a
+    time instead to keep the whole text out of memory.
     """
-    names = result.graph.vertex_names
-    groups = sorted((names[vertex], nt.text, targets) for (vertex, nt), targets in result.answers.items() if targets)
-    parts = []
-    for source, nonterminal, targets in groups:
-        prefix = f"{source}\t{nonterminal}\t"
-        parts.append(prefix + ("\n" + prefix).join(sorted(map(names.__getitem__, targets))) + "\n")
-    return "".join(parts)
+    return "".join(results_tsv_groups(result))

@@ -175,14 +175,32 @@ def load_triples(text: str, add_inverses: bool = False) -> DataGraph:
 
 
 def _add_inverses(g: DataGraph) -> None:
-    """Add (o, p^-1, s) to ``g`` in place for every triple it holds now.
+    """Add (o, p^-1, s) to ``g`` in place for every edge it holds now.
 
-    Iterates a snapshot: when ``g`` holds both p and p^-1 edges, the
-    index sets being read would otherwise grow while they are iterated.
+    Each label's source -> targets map is inverted into a target ->
+    sources map, and every map is inverted before any is written back:
+    when ``g`` holds both p and p^-1 edges, writing the inverse of p into
+    p^-1 must not add to the p^-1 edges still to be inverted.
     """
-    inverse = {p: sym(p.text + INVERSE_SUFFIX) for p in g.labels}
-    for s, p, o in g.triples:
-        g.add_edge(o, inverse[p], s)
+    inverted: dict[Symbol, dict[int, set[int]]] = {}
+    for label, by_source in g.index.items():
+        by_target: dict[int, set[int]] = {}
+        for source, targets in by_source.items():
+            for target in targets:
+                sources = by_target.get(target)
+                if sources is None:
+                    by_target[target] = {source}
+                else:
+                    sources.add(source)
+        inverted[sym(label.text + INVERSE_SUFFIX)] = by_target
+    for label, by_target in inverted.items():
+        by_source = g.index.setdefault(label, {})
+        for target, sources in by_target.items():
+            targets = by_source.get(target)
+            if targets is None:
+                by_source[target] = sources
+            else:
+                targets |= sources
 
 
 def with_inverses(g: DataGraph) -> DataGraph:

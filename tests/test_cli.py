@@ -71,6 +71,25 @@ def test_eval_all_vertices_by_default(workdir, capsys):
     assert "4\tS\t4" in out
 
 
+@pytest.mark.parametrize(
+    "grammar, options",
+    [
+        ("ab_ambiguous.cfg", ["--n", "100", "--k", "3", "--labels", "a,b"]),
+        ("sc.cfg", ["--n", "150", "--k", "5", "--labels", "subClassOf,type", "--add-inverses"]),
+    ],
+    ids=["sparse", "masks"],
+)
+def test_eval_counts_one_result_per_output_line(grammar, options, tmp_path, capsys):
+    args = ["--grammar", str(Path(__file__).resolve().parent.parent / "grammars" / grammar), *options]
+    out = tmp_path / "results.tsv"
+    assert main(["eval", *args, "--gen", "barabasi", "--seed", "1"]) == 0
+    captured = capsys.readouterr()
+    assert main(["eval", *args, "--gen", "barabasi", "--seed", "1", "--out", str(out)]) == 0
+    assert out.read_text() == captured.out
+    assert captured.out.endswith("\n")
+    assert _stderr_stats(capsys)["results"] == str(captured.out.count("\n"))
+
+
 def test_eval_all_from_rejects_non_nonterminal(workdir, capsys):
     code = main(
         ["eval", "--grammar", str(workdir / "g.cfg"), "--graph", str(workdir / "d.tsv"),
