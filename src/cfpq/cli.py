@@ -19,6 +19,7 @@ import argparse
 import inspect
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -40,11 +41,11 @@ def _load_grammar(path: str) -> Grammar:
     return parse_grammar(_read_text(path))
 
 
-def _load_graph(path: str, add_inverses: bool) -> DataGraph:
+def _load_graph(path: str) -> DataGraph:
     text = _read_text(path)
     if path.endswith(".nt"):
-        return load_ntriples(text, add_inverses=add_inverses)
-    return load_triples(text, add_inverses=add_inverses)
+        return load_ntriples(text)
+    return load_triples(text)
 
 
 def _split_labels(spec: str) -> list[str]:
@@ -61,22 +62,24 @@ def _graph_source(
     seed, labels and label; label is the first of --labels, or s.
     """
     if path is not None:
-        return Path(path).name, lambda: _load_graph(path, args.add_inverses)
-    if n is None:
+        desc, build = Path(path).name, partial(_load_graph, path)
+    elif n is None:
         raise CfpqError("--gen requires --n")
-    generator = GENERATORS[kind]
-    labels = _split_labels(args.labels)
-    options = {"n": n, "k": args.k, "seed": args.seed, "labels": labels, "label": labels[0] if labels else "s"}
-    params = {name: options[name] for name in inspect.signature(generator).parameters}
-    shown = (f"{name}={','.join(value) if name == 'labels' else value}" for name, value in params.items())
+    else:
+        generator = GENERATORS[kind]
+        labels = _split_labels(args.labels)
+        options = {"n": n, "k": args.k, "seed": args.seed, "labels": labels, "label": labels[0] if labels else "s"}
+        params = {name: options[name] for name in inspect.signature(generator).parameters}
+        shown = (f"{name}={','.join(value) if name == 'labels' else value}" for name, value in params.items())
+        desc, build = f"{kind}({','.join(shown)})", partial(generator, **params)
 
     def load() -> DataGraph:
-        graph = generator(**params)
+        graph = build()
         if args.add_inverses:
             _add_inverses(graph)
         return graph
 
-    return f"{kind}({','.join(shown)})", load
+    return desc, load
 
 
 def _graph_from_args(args: argparse.Namespace) -> tuple[DataGraph, str]:
@@ -88,7 +91,6 @@ def _graph_from_args(args: argparse.Namespace) -> tuple[DataGraph, str]:
 
 def _parse_query_file(text: str, graph: DataGraph, grammar: Grammar) -> list[tuple[int, Symbol]]:
     pairs: list[tuple[int, Symbol]] = []
-    seen: set[tuple[int, Symbol]] = set()
     offenders: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
@@ -107,10 +109,7 @@ def _parse_query_file(text: str, graph: DataGraph, grammar: Grammar) -> list[tup
         if problems:
             offenders.append(f"line {lineno}: " + ", ".join(problems))
             continue
-        pair = (graph.vertex_id(name), nonterminal)
-        if pair not in seen:
-            seen.add(pair)
-            pairs.append(pair)
+        pairs.append((graph.vertex_id(name), nonterminal))
     if offenders:
         raise CfpqError("invalid query pairs:\n  " + "\n  ".join(offenders))
     return pairs
@@ -198,7 +197,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                     )
                     return 1
     total = sum(len(targets) for targets in expected.values())
-    print(f"check: ok pairs={len(query)} results={total} disciplines=fifo,lifo,random")
+    print(f"check: ok pairs={len(expected)} results={total} disciplines=fifo,lifo,random")
     return 0
 
 

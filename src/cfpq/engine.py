@@ -40,10 +40,11 @@ dict of int keys and None values while it has at most
 ``max(32, vertex_count >> 6)`` members, an int bitmask above that, or
 as soon as a mask is inserted into it. A mask never turns back into a
 dict. Sparse sets stay small, and on a dense run a union is one int OR,
-as in the Boolean-matrix formulation of CFPQ. A step dispatches once on
-its delta's container: a dict delta is walked vertex by vertex, a mask
-delta's members are enumerated in C and its terminal step ORs per-source
+as in the Boolean-matrix formulation of CFPQ. One step function serves
+both containers: a dict delta is walked vertex by vertex, a mask delta's
+members are enumerated in C and its terminal step ORs per-source
 successor masks, built once per label and source for the evaluation.
+What a step passes on is a mask if its delta is one or it read one.
 
 The run's state is laid out for the cyclic garbage collector to skip:
 slots and (vertex, nonterminal) pairs are ints, position sets, deltas,
@@ -51,18 +52,20 @@ waiter lists and the derived-edge store's target sets are ints or dicts
 of int keys and None values, which the collector does not track, and an
 item is an entry in two flat lists until someone asks for ``items``.
 
-Answers are read from that store in place, after the run, with no copy
-of it: ``results_tsv_groups`` renders one (source, nonterminal) group
-of TSV rows at a time, ``answer_count`` counts the rows, and only the
-``answers`` and ``derived`` views build sets of vertex ids, ``answers``
-once on first read, ``derived`` on each read.
+The finished run is the result: ``run()`` and ``evaluate`` return the
+``Evaluation`` itself, and its answers are read from the derived-edge
+store in place, with no copy of it. ``results_tsv_groups`` renders one
+(source, nonterminal) group of TSV rows at a time, ``answer_count``
+counts the rows, and only the ``answers`` and ``derived`` views build
+sets of vertex ids, ``answers`` once on first read, ``derived`` on each
+read.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial, reduce
 from itertools import compress, count
 from operator import itemgetter, or_
@@ -248,48 +251,6 @@ class Stats:
         }
 
 
-@dataclass
-class EvalResult:
-    """Outcome of a run over a read-only input graph.
-
-    ``graph`` is the caller's input, unchanged. ``evaluation`` is the
-    finished run: ``answers``, ``answer_count``, ``derived`` and
-    ``results_tsv_groups`` read its derived-edge store, ``items`` its
-    items. Nothing is copied out of the store until it is read.
-    """
-
-    graph: DataGraph
-    stats: Stats
-    evaluation: Evaluation = field(repr=False)
-
-    @cached_property
-    def answers(self) -> dict[tuple[int, Symbol], set[int]]:
-        """Each query pair's answer set, built on first read and kept; it may be assigned."""
-        return {
-            (vertex, nonterminal): set(_vertices(targets))
-            for vertex, nonterminal, targets in self.evaluation._answer_sets()
-        }
-
-    @property
-    def answer_count(self) -> int:
-        """The number of answer rows, counted in the store."""
-        return sum(
-            targets.bit_count() if targets.__class__ is int else len(targets)
-            for _, _, targets in self.evaluation._answer_sets()
-            if targets
-        )
-
-    @property
-    def items(self) -> tuple[TraceItem, ...]:
-        """Every item of the run, in creation order."""
-        return tuple(self.evaluation.items)
-
-    @property
-    def derived(self) -> dict[tuple[int, Symbol], set[int]]:
-        """Every derived edge, as ``Evaluation.derived``: built on each read."""
-        return self.evaluation.derived
-
-
 Rule = tuple[Production, int, tuple[int, ...]]
 
 
@@ -315,7 +276,9 @@ class Evaluation:
 
     Splitting construction from the loop keeps the machinery open for
     inspection: tests drive single steps, snapshot position sets between
-    them and check that everything only ever grows.
+    them and check that everything only ever grows. The finished run is
+    its own result: ``run()`` returns it, and ``answers``,
+    ``answer_count``, ``derived`` and ``results_tsv_groups`` read it.
 
     The input graph is only read, so many evaluations can share one
     loaded graph. Inside the run the item with creation index i owns
@@ -474,10 +437,8 @@ class Evaluation:
 
         ``delta`` is handed over: the step may keep it.
         """
-        if delta.__class__ is int:
-            self._process_mask(slot, delta)
-            return
-        self.stats.pops += len(delta)
+        is_mask = delta.__class__ is int
+        self.stats.pops += delta.bit_count() if is_mask else len(delta)
         index, position = divmod(slot, self._width)
         production, lhs, numbers = self._item_rules[index]
         if position < len(numbers):
@@ -485,8 +446,14 @@ class Evaluation:
             out: set[int] = set()
             mask = 0
             if number < 0:
-                by_source = self.graph.index.get(production.rhs[position])
-                if by_source:
+                label = production.rhs[position]
+                by_source = self.graph.index.get(label)
+                if is_mask and by_source:
+                    masks = self._successor_masks.get(label)
+                    if masks is None:
+                        masks = self._successor_masks[label] = _SuccessorMasks(by_source, self.graph.vertex_count)
+                    mask = masks.union(delta)
+                elif by_source:
                     successors = by_source.get
                     for vertex in delta:
                         targets = successors(vertex)
@@ -495,7 +462,7 @@ class Evaluation:
             else:
                 width = len(self._nonterminals)
                 waiters, derived = self.waiters, self._derived
-                for vertex in delta:
+                for vertex in _members(delta) if is_mask else delta:
                     key = vertex * width + number
                     waiting = waiters.get(key)
                     if waiting is None:
@@ -512,8 +479,9 @@ class Evaluation:
                             else:
                                 out.update(targets)
                     waiting[slot + 1] = None
-            if mask:
-                self._insert_mask(slot + 1, mask | _mask_of(out))
+            # A mask terminal step leaves ``out`` empty: skip _mask_of's call.
+            if mask or is_mask and out:
+                self._insert_mask(slot + 1, mask | _mask_of(out) if out else mask)
             elif out:
                 self._insert(slot + 1, out)
         else:
@@ -523,13 +491,23 @@ class Evaluation:
             targets = self._derived.get(key)
             if targets is None:
                 self._derived[key] = delta
-                new = set(delta)
+                new = delta if is_mask else set(delta)
             elif targets.__class__ is int:
-                # New targets stay a set, so the waiters' dict sets stay dicts.
-                new = {vertex for vertex in delta if not targets >> vertex & 1}
+                # A dict delta's new targets stay a set, so the waiters' dict
+                # sets stay dicts.
+                new = delta & ~targets if is_mask else {vertex for vertex in delta if not targets >> vertex & 1}
                 if not new:
                     return
-                self._derived[key] = targets | _mask_of(new)
+                self._derived[key] = targets | (new if is_mask else _mask_of(new))
+            elif is_mask:
+                known = _mask_of(targets)
+                new = delta & ~known
+                if not new:
+                    return
+                if len(targets) + new.bit_count() > self._limit:
+                    self._derived[key] = known | new
+                else:
+                    targets.update(dict.fromkeys(_members(new)))
             else:
                 # set.difference looks each delta vertex up in ``targets``;
                 # ``delta.keys() - targets`` would iterate all of ``targets``.
@@ -539,64 +517,10 @@ class Evaluation:
                 targets.update(delta)
                 if len(targets) > self._limit:
                     self._derived[key] = _mask_of(targets)
-            self.stats.edges_added += len(new)
+            self.stats.edges_added += new.bit_count() if is_mask else len(new)
+            insert = self._insert_mask if is_mask else self._insert
             for waiting_slot in self.waiters[key]:
-                self._insert(waiting_slot, new)
-
-    def _process_mask(self, slot: int, delta: int) -> None:
-        """``_process`` of a mask delta: its members are walked in C, its unions are int ORs."""
-        self.stats.pops += delta.bit_count()
-        index, position = divmod(slot, self._width)
-        production, lhs, numbers = self._item_rules[index]
-        if position < len(numbers):
-            number = numbers[position]
-            out = 0
-            if number < 0:
-                label = production.rhs[position]
-                by_source = self.graph.index.get(label)
-                if by_source:
-                    masks = self._successor_masks.get(label)
-                    if masks is None:
-                        masks = self._successor_masks[label] = _SuccessorMasks(by_source, self.graph.vertex_count)
-                    out = masks.union(delta)
-            else:
-                width = len(self._nonterminals)
-                waiters, derived = self.waiters, self._derived
-                for vertex in _members(delta):
-                    key = vertex * width + number
-                    waiting = waiters.get(key)
-                    if waiting is None:
-                        self._spawn(key)
-                        waiting = waiters[key]
-                    else:
-                        targets = derived.get(key)
-                        if targets:
-                            out |= targets if targets.__class__ is int else _mask_of(targets)
-                    waiting[slot + 1] = None
-            if out:
-                self._insert_mask(slot + 1, out)
-        else:
-            key = self._origins[index] * len(self._nonterminals) + lhs
-            targets = self._derived.get(key)
-            if targets is None:
-                self._derived[key] = new = delta
-            elif targets.__class__ is int:
-                new = delta & ~targets
-                if not new:
-                    return
-                self._derived[key] = targets | new
-            else:
-                known = _mask_of(targets)
-                new = delta & ~known
-                if not new:
-                    return
-                if len(targets) + new.bit_count() > self._limit:
-                    self._derived[key] = known | new
-                else:
-                    targets.update(dict.fromkeys(_members(new)))
-            self.stats.edges_added += new.bit_count()
-            for waiting_slot in self.waiters[key]:
-                self._insert_mask(waiting_slot, new)
+                insert(waiting_slot, new)
 
     def step(self) -> bool:
         """Process one pending slot's whole delta; False once the worklist is empty."""
@@ -604,6 +528,7 @@ class Evaluation:
             return False
         slot = self.worklist.pop()
         self._process(slot, self._pending.pop(slot))
+        self.__dict__.pop("answers", None)
         return True
 
     def process_slot(self, item: TraceItem, position: int, vertex: int) -> None:
@@ -627,15 +552,16 @@ class Evaluation:
             del self._pending[slot]
             self.worklist.remove(slot)
         self._process(slot, single)
+        self.__dict__.pop("answers", None)
 
     @property
-    def items(self) -> list[TraceItem]:
-        """Every item, in creation order; views are built on first read."""
+    def items(self) -> tuple[TraceItem, ...]:
+        """Every item, in creation order; each view is built on first read and kept."""
         items = self._items
         for index in range(len(items), len(self._origins)):
             production = self._item_rules[index][0]
             items.append(TraceItem(production, self._origins[index], index * self._width, self._sets, self._pending))
-        return items
+        return tuple(items)
 
     @property
     def derived(self) -> dict[tuple[int, Symbol], set[int]]:
@@ -646,14 +572,16 @@ class Evaluation:
             for key, targets in self._derived.items()
         }
 
-    def run(self) -> EvalResult:
+    def run(self) -> Evaluation:
+        """Run to the fixpoint and return this evaluation, which holds the answers."""
         # The pending map's keys are exactly the queued slots, and testing
         # the map costs no call into Python code, unlike len(worklist).
         pending, pop, process = self._pending, self.worklist.pop, self._process
         while pending:
             slot = pop()
             process(slot, pending.pop(slot))
-        return self.result()
+        self.__dict__.pop("answers", None)
+        return self
 
     def _answer_sets(self) -> Iterator[tuple[int, Symbol, VertexSet | None]]:
         """Per query pair, its vertex, nonterminal and targets as the store holds them (None for none)."""
@@ -661,8 +589,26 @@ class Evaluation:
         for vertex, nonterminal in self.query:
             yield vertex, nonterminal, derived.get(vertex * width + number[nonterminal])
 
-    def result(self) -> EvalResult:
-        return EvalResult(self.graph, self.stats, self)
+    @cached_property
+    def answers(self) -> dict[tuple[int, Symbol], set[int]]:
+        """Each query pair's answer set, built on first read and kept; it may be assigned.
+
+        ``step``, ``process_slot`` and ``run`` drop the kept sets, so a read
+        before the fixpoint never outlives the steps after it.
+        """
+        return {
+            (vertex, nonterminal): set(_vertices(targets))
+            for vertex, nonterminal, targets in self._answer_sets()
+        }
+
+    @property
+    def answer_count(self) -> int:
+        """The number of answer rows, counted in the store."""
+        return sum(
+            targets.bit_count() if targets.__class__ is int else len(targets)
+            for _, _, targets in self._answer_sets()
+            if targets
+        )
 
 
 def evaluate(
@@ -671,8 +617,8 @@ def evaluate(
     query: Iterable[tuple[int, Symbol]],
     discipline: str = "fifo",
     seed: int = 0,
-) -> EvalResult:
-    """Evaluate a context-free path query; see the module docstring."""
+) -> Evaluation:
+    """Evaluate a context-free path query and return the finished run; see the module docstring."""
     return Evaluation(grammar, graph, query, discipline, seed).run()
 
 
@@ -697,7 +643,7 @@ def render_item(item: TraceItem, graph: DataGraph) -> str:
     return f"[{item.production.lhs.text} -> {' '.join(parts)}]"
 
 
-def final_items(result: EvalResult) -> list[str]:
+def final_items(result: Evaluation) -> list[str]:
     """Canonical rendering of every item, sorted for stable comparison."""
     return sorted(render_item(item, result.graph) for item in result.items)
 
@@ -710,19 +656,21 @@ def _name_order(names: Sequence[str]) -> tuple[list[str], Callable[[bytes], Iter
     return [names[vertex] for vertex in order], itemgetter(*order) if len(order) > 1 else bytes
 
 
-def results_tsv_groups(result: EvalResult) -> Iterator[str]:
+def results_tsv_groups(result: Evaluation) -> Iterator[str]:
     """``results_tsv``'s text, one (source, nonterminal) group of rows at a time.
 
-    Groups come sorted by the unique key (source name, nonterminal), so
-    the sort never compares targets, and within a group rows come by
-    target name. A dict group sorts its target names. A mask group
-    filters the name-sorted vertex list by the mask's membership bytes;
-    that list is built once per call, and only if a mask group shows up.
+    ``result`` is a finished ``Evaluation``; its query pairs' targets are
+    read from its derived-edge store in place. Groups come sorted by the
+    unique key (source name, nonterminal), so the sort never compares
+    targets, and within a group rows come by target name. A dict group
+    sorts its target names. A mask group filters the name-sorted vertex
+    list by the mask's membership bytes; that list is built once per
+    call, and only if a mask group shows up.
     """
     names = result.graph.vertex_names
     groups = sorted(
         (names[vertex], nonterminal.text, targets)
-        for vertex, nonterminal, targets in result.evaluation._answer_sets()
+        for vertex, nonterminal, targets in result._answer_sets()
         if targets
     )
     sorted_names = in_name_order = None
@@ -737,7 +685,7 @@ def results_tsv_groups(result: EvalResult) -> Iterator[str]:
         yield prefix + ("\n" + prefix).join(target_names) + "\n"
 
 
-def results_tsv(result: EvalResult) -> str:
+def results_tsv(result: Evaluation) -> str:
     """Answer rows as ``source<TAB>nonterminal<TAB>target`` TSV text, LF-terminated, sorted.
 
     The join of ``results_tsv_groups``; write those groups out one at a

@@ -235,6 +235,22 @@ def test_check_reports_the_first_mismatch(workdir, capsys, monkeypatch):
     assert "engine=" in out and "oracle=" in out
 
 
+def test_a_repeated_query_pair_changes_nothing(workdir, capsys):
+    (workdir / "repeats.tsv").write_text(QUERY + "1\tS\n")
+    seen = []
+    for query in ("q.tsv", "repeats.tsv"):
+        inputs = ["--grammar", str(workdir / "g.cfg"), "--graph", str(workdir / "d.tsv"),
+                  "--query", str(workdir / query)]
+        assert main(["eval", *inputs]) == 0
+        evaluated = capsys.readouterr()
+        results = [line for line in evaluated.err.splitlines() if line.startswith("results=")]
+        assert main(["check", *inputs]) == 0
+        seen.append((evaluated.out, results, capsys.readouterr().out))
+    assert seen[0] == seen[1]
+    assert seen[0][:2] == (RESULTS, ["results=5"])
+    assert seen[0][2].startswith("check: ok pairs=2 results=5 ")
+
+
 def test_eval_on_an_empty_graph(workdir, capsys):
     code = main(["eval", "--grammar", str(workdir / "g.cfg"), "--gen", "complete", "--n", "0"])
     assert code == 0

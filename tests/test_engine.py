@@ -132,6 +132,57 @@ def test_empty_query_is_a_no_op(nesting_grammar, loop_graph):
     assert result.derived == {}
 
 
+def _assert_the_run_is_its_own_result(grammar, graph, query):
+    ev = Evaluation(grammar, graph, query)
+    assert ev.run() is ev
+    result = evaluate(grammar, graph, query)
+    assert isinstance(result, Evaluation)
+    assert result.graph is graph
+    assert result.stats.as_dict() == ev.stats.as_dict()
+    assert result.answers == ev.answers
+    derived = result.derived
+    assert result.answers == {pair: derived.get(pair, set()) for pair in query}
+    assert result.answer_count == sum(map(len, result.answers.values()))
+    assert result.stats.edges_added == sum(map(len, derived.values()))
+    assert result.stats.pops == result.stats.insertions
+    assert result.items.__class__ is tuple
+    assert len(result.items) == result.stats.items_created
+    assert final_items(result) == final_items(ev)
+
+
+def test_the_run_is_its_own_result(nesting_grammar, loop_graph):
+    _assert_the_run_is_its_own_result(nesting_grammar, loop_graph, _example_query(loop_graph))
+    # a hierarchy whose sets pass the dict limit, so masks are read too
+    graph = with_inverses(gen_barabasi(200, 3, seed=1, labels=("subClassOf", "type")))
+    grammar = preset("sc_t")
+    _assert_the_run_is_its_own_result(grammar, graph, [(v, grammar.start) for v in graph.vertices()])
+
+
+def test_answers_read_before_the_fixpoint_are_rebuilt(nesting_grammar, loop_graph):
+    query = _example_query(loop_graph)
+    expected = evaluate(nesting_grammar, loop_graph, query).answers
+    # a read after one step, then run() to the end
+    ev = Evaluation(nesting_grammar, loop_graph, query)
+    ev.step()
+    assert ev.answers != expected
+    assert ev.run().answers == expected
+    # a read after one step, then step() to the end
+    ev = Evaluation(nesting_grammar, loop_graph, query)
+    ev.step()
+    assert ev.answers != expected
+    while ev.step():
+        pass
+    assert ev.answers == expected
+    # a read before any step, then process_slot() to the end
+    ev = Evaluation(nesting_grammar, loop_graph, query)
+    assert ev.answers != expected
+    while ev.worklist:
+        item = next(item for item in ev.items if any(item.pending))
+        position = next(j for j, vertices in enumerate(item.pending) if vertices)
+        ev.process_slot(item, position, min(item.pending[position]))
+    assert ev.answers == expected
+
+
 def test_scripted_drive_matches_frozen_trace(nesting_grammar, loop_graph):
     """Walk the first eight slot picks of the worked example by hand."""
     g = loop_graph
@@ -331,7 +382,7 @@ def test_answers_are_built_on_first_read_from_the_store():
     text = results_tsv(result)
     assert result.answer_count == text.count("\n")
     assert "answers" not in vars(result)
-    assert int in {targets.__class__ for targets in result.evaluation._derived.values()}
+    assert int in {targets.__class__ for targets in result._derived.values()}
     derived = result.derived
     # what run() used to copy out: each query pair's derived targets, as a set
     assert result.answers == {pair: derived.get(pair, set()) for pair in query}

@@ -128,7 +128,7 @@ def test_engine_agrees_with_reference_and_itself(grammar, graph):
         assert result.answers == expected
         renderings.add(results_tsv(result))
         counters.add(tuple(result.stats.as_dict().items()))
-        containers = {s.__class__ for s in result.evaluation._sets if s is not None}
+        containers = {s.__class__ for s in result._sets if s is not None}
         if limit == "masks":
             assert containers <= {int}
         elif limit == "dicts":
@@ -159,6 +159,14 @@ def test_engine_agrees_with_reference_and_itself(grammar, graph):
     assert len(counters) == 1
 
 
+def _assert_each_delta_has_its_sets_container(ev):
+    """The queued slots are those with a delta, each non-empty and of its position set's container."""
+    assert sorted(ev.worklist) == sorted(ev._pending)
+    for slot, delta in ev._pending.items():
+        assert delta
+        assert delta.__class__ is ev._sets[slot].__class__
+
+
 @settings(max_examples=40, deadline=None)
 @given(grammars(), graphs(), st.integers(0, 2**32 - 1))
 def test_one_vertex_stepping_reaches_the_same_fixpoint(grammar, graph, seed):
@@ -171,6 +179,7 @@ def test_one_vertex_stepping_reaches_the_same_fixpoint(grammar, graph, seed):
             ev = Evaluation(grammar, graph, query)
             rng = random.Random(seed)
             while True:
+                _assert_each_delta_has_its_sets_container(ev)
                 pending = [
                     (item, j, vertex)
                     for item in ev.items
@@ -181,7 +190,7 @@ def test_one_vertex_stepping_reaches_the_same_fixpoint(grammar, graph, seed):
                     break
                 ev.process_slot(*rng.choice(pending))
             assert len(ev.worklist) == 0
-            stepped = ev.result()
+            stepped = ev
             assert stepped.stats.pops == stepped.stats.insertions
             assert stepped.answers == expected
             runs = [evaluate(grammar, graph, query, discipline, seed) for discipline in ("fifo", "lifo", "random")]
@@ -189,6 +198,20 @@ def test_one_vertex_stepping_reaches_the_same_fixpoint(grammar, graph, seed):
             assert final_items(stepped) == final_items(ran)
             assert stepped.answers == ran.answers
             assert stepped.stats.as_dict() == ran.stats.as_dict()
+
+
+@settings(max_examples=40, deadline=None)
+@given(grammars(), graphs(), st.integers(0, 2**32 - 1))
+def test_every_step_keeps_each_delta_in_its_sets_container(grammar, graph, seed):
+    query = [(v, grammar.start) for v in graph.vertices()]
+    expected = evaluate(grammar, graph, query).answers
+    for limit, discipline in product(DICT_LIMITS, ("fifo", "lifo", "random")):
+        with _dict_limit(limit):
+            ev = Evaluation(grammar, graph, query, discipline, seed)
+            _assert_each_delta_has_its_sets_container(ev)
+            while ev.step():
+                _assert_each_delta_has_its_sets_container(ev)
+        assert ev.answers == expected
 
 
 @settings(max_examples=60, deadline=None)
