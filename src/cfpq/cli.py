@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 import time
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .engine import evaluate, results_tsv_groups
+from .engine import Stats, evaluate, results_tsv_groups
 from .errors import CfpqError
 from .grammar import Grammar, Symbol, parse_grammar, sym
-from .graph import GENERATORS, DataGraph, _add_inverses, load_ntriples, load_triples, to_tsv
+from .graph import GENERATORS, DataGraph, _add_inverses, load_ntriples, load_triples, split_lines, to_tsv
 from .oracle import DEFAULT_MAX_TRIPLES, fixpoint_relations, oracle_eval
 
 
@@ -48,51 +49,59 @@ def _load_graph(path: str) -> DataGraph:
     return load_triples(text)
 
 
-def _split_labels(spec: str) -> list[str]:
+def _split(spec: str) -> list[str]:
+    """The comma-separated values of an option, empty ones dropped."""
     return [token for token in spec.split(",") if token]
 
 
-def _graph_source(
-    args: argparse.Namespace, path: str | None, kind: str | None, n: int | None
-) -> tuple[str, Callable[[], DataGraph]]:
-    """Describe the graph in file ``path``, or from generator ``kind`` at
-    size ``n``, and return a loader for it that honours --add-inverses.
+def _build(make: Callable[[], DataGraph], add_inverses: bool) -> DataGraph:
+    graph = make()
+    if add_inverses:
+        _add_inverses(graph)
+    return graph
+
+
+def _graph_sources(args: argparse.Namespace) -> list[tuple[str, Callable[[], DataGraph]]]:
+    """Describe each graph in the --graph list, or from --gen at each
+    size in the --n list, with a loader for it that honours --add-inverses.
 
     A generator gets the options its signature names, out of n, k,
     seed, labels and label; label is the first of --labels, or s.
     """
-    if path is not None:
-        desc, build = Path(path).name, partial(_load_graph, path)
-    elif n is None:
-        raise CfpqError("--gen requires --n")
-    else:
-        generator = GENERATORS[kind]
-        labels = _split_labels(args.labels)
-        options = {"n": n, "k": args.k, "seed": args.seed, "labels": labels, "label": labels[0] if labels else "s"}
-        params = {name: options[name] for name in inspect.signature(generator).parameters}
-        shown = (f"{name}={','.join(value) if name == 'labels' else value}" for name, value in params.items())
-        desc, build = f"{kind}({','.join(shown)})", partial(generator, **params)
-
-    def load() -> DataGraph:
-        graph = build()
-        if args.add_inverses:
-            _add_inverses(graph)
-        return graph
-
-    return desc, load
-
-
-def _graph_from_args(args: argparse.Namespace) -> tuple[DataGraph, str]:
     if (args.graph is None) == (args.gen is None):
         raise CfpqError("exactly one of --graph or --gen is required")
-    desc, load = _graph_source(args, args.graph, args.gen, args.n)
-    return load(), desc
+    sources: list[tuple[str, Callable[[], DataGraph]]] = []
+    if args.graph is not None:
+        sources = [(Path(path).name, partial(_load_graph, path)) for path in _split(args.graph)]
+    elif args.n is None:
+        raise CfpqError("--gen requires --n")
+    else:
+        generator = GENERATORS[args.gen]
+        labels = _split(args.labels)
+        for n_text in _split(args.n):
+            try:
+                n = int(n_text)
+            except ValueError:
+                raise CfpqError(f"--n: not an integer: {n_text!r}") from None
+            options = {"n": n, "k": args.k, "seed": args.seed, "labels": labels, "label": labels[0] if labels else "s"}
+            params = {name: options[name] for name in inspect.signature(generator).parameters}
+            shown = (f"{name}={','.join(value) if name == 'labels' else value}" for name, value in params.items())
+            sources.append((f"{args.gen}({','.join(shown)})", partial(generator, **params)))
+    return [(desc, partial(_build, make, args.add_inverses)) for desc, make in sources]
+
+
+def _graph_from_args(args: argparse.Namespace) -> DataGraph:
+    """The one graph that eval, check and gen work on."""
+    sources = _graph_sources(args)
+    if len(sources) != 1:
+        raise CfpqError(f"{args.command} takes one graph, got {len(sources)}")
+    return sources[0][1]()
 
 
 def _parse_query_file(text: str, graph: DataGraph, grammar: Grammar) -> list[tuple[int, Symbol]]:
     pairs: list[tuple[int, Symbol]] = []
     offenders: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -132,7 +141,16 @@ def _query_from_args(args: argparse.Namespace, grammar: Grammar, graph: DataGrap
 def _write_output(chunks: Iterable[str], out: str | None) -> None:
     """Write the text chunks to file ``out``, or to stdout if it is None, one at a time."""
     if out is None:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except OSError as exc:
+            # Nothing more can reach stdout: point its descriptor at the
+            # null device so the flush at interpreter exit fails no more.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise CfpqError(f"cannot write stdout: {exc}") from exc
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -151,7 +169,7 @@ def _stat_lines(pairs: list[tuple[str, object]]) -> None:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     grammar = _load_grammar(args.grammar)
-    graph, _ = _graph_from_args(args)
+    graph = _graph_from_args(args)
     query = _query_from_args(args, grammar, graph)
     started = time.perf_counter()
     result = evaluate(grammar, graph, query, args.discipline, args.seed)
@@ -170,8 +188,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    _, load = _graph_source(args, None, args.kind, args.n)
-    graph = load()
+    graph = _graph_from_args(args)
     _write_output((to_tsv(graph),), args.out)
     _stat_lines([("vertices", graph.vertex_count), ("triples", graph.edge_count)])
     return 0
@@ -179,68 +196,40 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     grammar = _load_grammar(args.grammar)
-    graph, _ = _graph_from_args(args)
+    graph = _graph_from_args(args)
     query = _query_from_args(args, grammar, graph)
     table = fixpoint_relations(grammar, graph, max_triples=args.max_triples)
     expected = {(v, nt): oracle_eval(table, v, nt) for v, nt in query}
     for discipline in ("fifo", "lifo", "random"):
-        result = evaluate(grammar, graph, query, discipline, args.seed)
-        if result.answers != expected:
+        answers = evaluate(grammar, graph, query, discipline, args.seed).answers
+        if answers != expected:
             for pair in sorted(expected, key=lambda p: (graph.vertex_name(p[0]), p[1].text)):
-                if result.answers[pair] != expected[pair]:
+                if answers[pair] != expected[pair]:
                     vertex, nonterminal = pair
-                    got = sorted(graph.vertex_name(v) for v in result.answers[pair])
+                    got = sorted(graph.vertex_name(v) for v in answers[pair])
                     want = sorted(graph.vertex_name(v) for v in expected[pair])
-                    print(
+                    line = (
                         f"check: mismatch under {discipline} at ({graph.vertex_name(vertex)}, "
-                        f"{nonterminal.text}): engine={got} oracle={want}"
+                        f"{nonterminal.text}): engine={got} oracle={want}\n"
                     )
+                    _write_output((line,), args.out)
                     return 1
     total = sum(len(targets) for targets in expected.values())
-    print(f"check: ok pairs={len(expected)} results={total} disciplines=fifo,lifo,random")
+    _write_output((f"check: ok pairs={len(expected)} results={total} disciplines=fifo,lifo,random\n",), args.out)
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise CfpqError(f"--reps must be >= 1, got {args.reps}")
-    grammar_paths = [p for p in args.grammar.split(",") if p]
+    grammar_paths = _split(args.grammar)
     if not grammar_paths:
         raise CfpqError("--grammar needs at least one path")
-
-    if (args.graph is None) == (args.gen is None):
-        raise CfpqError("exactly one of --graph or --gen is required")
-    sources: list[tuple[str, Callable[[], DataGraph]]] = []
-    if args.graph is not None:
-        for path in args.graph.split(","):
-            if path:
-                sources.append(_graph_source(args, path, None, None))
-    else:
-        if args.n is None:
-            raise CfpqError("--gen requires --n")
-        for n_text in args.n.split(","):
-            if not n_text:
-                continue
-            try:
-                n = int(n_text)
-            except ValueError:
-                raise CfpqError(f"--n: not an integer: {n_text!r}") from None
-            sources.append(_graph_source(args, None, args.gen, n))
+    sources = _graph_sources(args)
     if not sources:
         raise CfpqError("no graphs to benchmark")
 
-    header = [
-        "grammar",
-        "graph",
-        "vertices",
-        "triples",
-        "results",
-        "time_ms",
-        "items_created",
-        "pops",
-        "edges_added",
-        "insertions",
-    ]
+    header = ["grammar", "graph", "vertices", "triples", "results", "time_ms", *Stats().as_dict()]
     lines = ["\t".join(header)]
     failures = 0
     for grammar_path in grammar_paths:
@@ -268,10 +257,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     str(graph.edge_count),
                     str(first_total),
                     f"{sum(times) / len(times):.3f}",
-                    str(stats.items_created),
-                    str(stats.pops),
-                    str(stats.edges_added),
-                    str(stats.insertions),
+                    *map(str, stats.as_dict().values()),
                 ]
                 lines.append("\t".join(row))
             except CfpqError as exc:
@@ -284,53 +270,40 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # -- argument wiring -------------------------------------------------------
 
 
-def _add_common_input_args(parser: argparse.ArgumentParser, n_as_list: bool) -> None:
-    parser.add_argument("--grammar", required=True, help="grammar file (comma-separated list for bench)")
-    parser.add_argument("--graph", help="triples file, TSV or .nt (comma-separated list for bench)")
-    parser.add_argument("--gen", choices=sorted(GENERATORS), help="generate the graph instead of loading one")
-    if n_as_list:
-        parser.add_argument("--n", help="generator size, comma-separated list for sweeps")
-    else:
-        parser.add_argument("--n", type=int, help="generator size")
-    parser.add_argument("--k", type=int, default=1, help="attachment degree for barabasi (default 1)")
-    parser.add_argument("--labels", default="a,b,c,d", help="generator labels, comma separated")
-    parser.add_argument("--add-inverses", action="store_true", help="also materialize (o, p^-1, s) edges")
-    parser.add_argument("--seed", type=int, default=0, help="seed for generators and the random discipline")
-    parser.add_argument("--discipline", choices=("fifo", "lifo", "random"), default="fifo")
-    parser.add_argument("--out", help="output file (default: stdout)")
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="cfpq", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
 
+    generator = argparse.ArgumentParser(add_help=False)
+    generator.add_argument("--n", help="generator size, comma-separated list for bench")
+    generator.add_argument("--k", type=int, default=1, help="attachment degree for barabasi (default 1)")
+    generator.add_argument("--labels", default="a,b,c,d", help="generator labels, comma separated")
+    generator.add_argument("--add-inverses", action="store_true", help="also materialize (o, p^-1, s) edges")
+    generator.add_argument("--seed", type=int, default=0, help="seed for generators and the random discipline")
+    generator.add_argument("--out", help="output file (default: stdout)")
 
-def _add_query_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--query", help="query pairs file: vertex<TAB>nonterminal per line")
-    parser.add_argument(
+    inputs = argparse.ArgumentParser(add_help=False, parents=[generator])
+    inputs.add_argument("--grammar", required=True, help="grammar file (comma-separated list for bench)")
+    inputs.add_argument("--graph", help="triples file, TSV or .nt (comma-separated list for bench)")
+    inputs.add_argument("--gen", choices=sorted(GENERATORS), help="generate the graph instead of loading one")
+    inputs.add_argument("--discipline", choices=("fifo", "lifo", "random"), default="fifo")
+
+    query = argparse.ArgumentParser(add_help=False, parents=[inputs])
+    query.add_argument("--query", help="query pairs file: vertex<TAB>nonterminal per line")
+    query.add_argument(
         "--all-from",
         metavar="NT",
         help="query every vertex under this nonterminal (default: grammar start)",
     )
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cfpq", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser("eval", help="evaluate a query, write result TSV")
-    _add_common_input_args(p_eval, n_as_list=False)
-    _add_query_args(p_eval)
+    p_eval = sub.add_parser("eval", parents=[query], help="evaluate a query, write result TSV")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_gen = sub.add_parser("gen", help="emit a synthetic graph as TSV")
-    p_gen.add_argument("kind", choices=sorted(GENERATORS))
-    p_gen.add_argument("--n", type=int, required=True, help="generator size")
-    p_gen.add_argument("--k", type=int, default=1, help="attachment degree for barabasi (default 1)")
-    p_gen.add_argument("--labels", default="a,b,c,d", help="generator labels, comma separated")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--add-inverses", action="store_true")
-    p_gen.add_argument("--out", help="output file (default: stdout)")
-    p_gen.set_defaults(func=cmd_gen)
+    p_gen = sub.add_parser("gen", parents=[generator], help="emit a synthetic graph as TSV")
+    p_gen.add_argument("gen", metavar="kind", choices=sorted(GENERATORS), help="one of %(choices)s")
+    p_gen.set_defaults(func=cmd_gen, graph=None)
 
-    p_check = sub.add_parser("check", help="engine vs reference evaluator under all disciplines")
-    _add_common_input_args(p_check, n_as_list=False)
-    _add_query_args(p_check)
+    p_check = sub.add_parser("check", parents=[query], help="engine vs reference evaluator under all disciplines")
     p_check.add_argument(
         "--max-triples",
         type=int,
@@ -339,8 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_check.set_defaults(func=cmd_check)
 
-    p_bench = sub.add_parser("bench", help="sweep grammars x graphs, one table row each")
-    _add_common_input_args(p_bench, n_as_list=True)
+    p_bench = sub.add_parser("bench", parents=[inputs], help="sweep grammars x graphs, one table row each")
     p_bench.add_argument("--reps", type=int, default=1, help="repetitions per row, times averaged")
     p_bench.set_defaults(func=cmd_bench)
 

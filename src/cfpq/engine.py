@@ -57,8 +57,7 @@ The finished run is the result: ``run()`` and ``evaluate`` return the
 store in place, with no copy of it. ``results_tsv_groups`` renders one
 (source, nonterminal) group of TSV rows at a time, ``answer_count``
 counts the rows, and only the ``answers`` and ``derived`` views build
-sets of vertex ids, ``answers`` once on first read, ``derived`` on each
-read.
+sets of vertex ids, both on each read.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import compress, count
 from operator import itemgetter, or_
 from typing import Callable, Collection, Iterable, Iterator, Sequence
@@ -243,12 +242,8 @@ class Stats:
     insertions: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "items_created": self.items_created,
-            "pops": self.pops,
-            "edges_added": self.edges_added,
-            "insertions": self.insertions,
-        }
+        """The counters by name, in declaration order."""
+        return dict(vars(self))
 
 
 Rule = tuple[Production, int, tuple[int, ...]]
@@ -528,7 +523,6 @@ class Evaluation:
             return False
         slot = self.worklist.pop()
         self._process(slot, self._pending.pop(slot))
-        self.__dict__.pop("answers", None)
         return True
 
     def process_slot(self, item: TraceItem, position: int, vertex: int) -> None:
@@ -552,7 +546,6 @@ class Evaluation:
             del self._pending[slot]
             self.worklist.remove(slot)
         self._process(slot, single)
-        self.__dict__.pop("answers", None)
 
     @property
     def items(self) -> tuple[TraceItem, ...]:
@@ -580,7 +573,6 @@ class Evaluation:
         while pending:
             slot = pop()
             process(slot, pending.pop(slot))
-        self.__dict__.pop("answers", None)
         return self
 
     def _answer_sets(self) -> Iterator[tuple[int, Symbol, VertexSet | None]]:
@@ -589,13 +581,9 @@ class Evaluation:
         for vertex, nonterminal in self.query:
             yield vertex, nonterminal, derived.get(vertex * width + number[nonterminal])
 
-    @cached_property
+    @property
     def answers(self) -> dict[tuple[int, Symbol], set[int]]:
-        """Each query pair's answer set, built on first read and kept; it may be assigned.
-
-        ``step``, ``process_slot`` and ``run`` drop the kept sets, so a read
-        before the fixpoint never outlives the steps after it.
-        """
+        """Each query pair's answer set, built from the store on each read."""
         return {
             (vertex, nonterminal): set(_vertices(targets))
             for vertex, nonterminal, targets in self._answer_sets()

@@ -14,7 +14,7 @@ class MalformedRule(CfpqError):
 
 
 class InvalidGrammar(CfpqError):
-    """Productions and declared symbol sets do not form a valid grammar."""
+    """The start symbol is not the left-hand side of any production."""
 
 
 class UnknownNonterminal(CfpqError):

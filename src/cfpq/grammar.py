@@ -76,35 +76,19 @@ class Production:
 class Grammar:
     """Immutable bundle of productions plus the derived symbol partition.
 
-    ``nonterminals`` and ``terminals`` are disjoint; every right-hand-side
-    symbol belongs to exactly one of them. When ``nonterminals`` is not
-    given it is inferred from the left-hand sides. Passing it explicitly
-    lets callers promote extra symbols, but every declared nonterminal
-    must then own at least one production.
+    ``nonterminals`` are the left-hand sides of the productions and
+    ``terminals`` every other right-hand-side symbol, so the two are
+    disjoint. ``start`` defaults to the first production's left-hand
+    side; a start symbol that is not a nonterminal raises InvalidGrammar.
     """
 
     __slots__ = ("productions", "start", "nonterminals", "terminals", "max_rhs_len", "_by_lhs", "_hash")
 
-    def __init__(
-        self,
-        productions: Iterable[Production],
-        start: Symbol | None = None,
-        nonterminals: Iterable[Symbol] | None = None,
-    ):
+    def __init__(self, productions: Iterable[Production], start: Symbol | None = None):
         prods = tuple(productions)
         if not prods:
             raise EmptyGrammar("a grammar needs at least one production")
-        defined = {p.lhs for p in prods}
-        if nonterminals is None:
-            nts = frozenset(defined)
-        else:
-            nts = frozenset(nonterminals)
-            undefined = sorted(s.text for s in nts - defined)
-            if undefined:
-                raise InvalidGrammar(f"nonterminals without productions: {', '.join(undefined)}")
-            stray = sorted(s.text for s in defined - nts)
-            if stray:
-                raise InvalidGrammar(f"left-hand sides not declared as nonterminals: {', '.join(stray)}")
+        nts = frozenset(p.lhs for p in prods)
         if start is None:
             start = prods[0].lhs
         if start not in nts:
@@ -121,7 +105,7 @@ class Grammar:
         self.max_rhs_len = max(len(p.rhs) for p in prods)
         self._by_lhs = {a: tuple(ps) for a, ps in by_lhs.items()}
         # Hashed once: the engine looks its per-grammar tables up by grammar.
-        self._hash = hash((prods, start, nts))
+        self._hash = hash((prods, start))
 
     def productions_of(self, a: Symbol) -> tuple[Production, ...]:
         """All productions with left-hand side ``a``, in source order."""
@@ -132,11 +116,7 @@ class Grammar:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grammar):
             return NotImplemented
-        return (
-            self.productions == other.productions
-            and self.start == other.start
-            and self.nonterminals == other.nonterminals
-        )
+        return self.productions == other.productions and self.start == other.start
 
     def __hash__(self) -> int:
         return self._hash

@@ -150,16 +150,27 @@ class DataGraph:
 # -- text formats -------------------------------------------------------
 
 
-def load_triples(text: str, add_inverses: bool = False) -> DataGraph:
+def split_lines(text: str) -> list[str]:
+    r"""``text`` split into lines at ``\r\n``, ``\r`` and ``\n`` only.
+
+    ``str.splitlines`` also breaks at ``\x0b``, ``\x0c``, ``\x1c``-``\x1e``,
+    ``\x85``, U+2028 and U+2029, which may stand inside a field or a
+    literal. Each pass runs over the whole string in C.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+def load_triples(text: str) -> DataGraph:
     """Parse tab-separated ``subject<TAB>predicate<TAB>object`` lines.
 
     Vertex ids are assigned in first-appearance order (subject before
     object within a line); duplicate triples collapse and an empty field
-    is an error. With ``add_inverses`` every input triple (s, p, o) also
-    materializes (o, p^-1, s), which adds labels but never vertices.
+    is an error. ``with_inverses`` adds the inverse edges (o, p^-1, s).
     """
     g = DataGraph()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -169,8 +180,6 @@ def load_triples(text: str, add_inverses: bool = False) -> DataGraph:
             raise MalformedTriple(f"line {lineno}: empty field")
         s, p, o = fields
         g.add_edge(g.intern(s), sym(p), g.intern(o))
-    if add_inverses:
-        _add_inverses(g)
     return g
 
 
@@ -233,15 +242,16 @@ def _local_name(field: str) -> str:
 _COMMENTED_OBJECT = re.compile(r'(<[^>]*>|"(?:[^"\\]|\\.)*"(?:@[\w-]+|\^\^<[^>]*>)?|[^\s#<"][^\s#]*?)\s*\.\s*#.*')
 
 
-def load_ntriples(text: str, add_inverses: bool = False) -> DataGraph:
+def load_ntriples(text: str) -> DataGraph:
     """Thin N-Triples reader: three whitespace-separated terms and a dot.
 
     IRIs map to the token after their last '#' or '/'; anything else
-    (blank nodes, literals) is kept verbatim as an opaque vertex token.
+    (blank nodes, literals) is kept verbatim as an opaque vertex token,
+    except that a raw tab in the object is written as the escape ``\\t``.
     A ``#`` comment after the terminating dot is dropped.
     """
     g = DataGraph()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -259,9 +269,11 @@ def load_ntriples(text: str, add_inverses: bool = False) -> DataGraph:
                 rest = commented.group(1)
         if not rest:
             raise MalformedTriple(f"line {lineno}: missing object term")
+        if "\t" in rest:
+            # A literal may hold a raw tab, the same string as its escape;
+            # kept raw, it would split the vertex name in TSV output.
+            rest = rest.replace("\t", "\\t")
         g.add_edge(g.intern(_local_name(s)), sym(_local_name(p)), g.intern(_local_name(rest)))
-    if add_inverses:
-        _add_inverses(g)
     return g
 
 

@@ -29,6 +29,7 @@ from cfpq import (
     preset,
     results_tsv,
     sym,
+    with_inverses,
 )
 
 EXAMPLE_GRAMMAR = "S -> a S b\nS ->\n"
@@ -273,10 +274,7 @@ def test_criterion_8_ontology_result_counts():
     details = []
     for name, path in sorted(available.items()):
         text = path.read_text()
-        if path.suffix == ".nt":
-            graph = load_ntriples(text, add_inverses=True)
-        else:
-            graph = load_triples(text, add_inverses=True)
+        graph = with_inverses(load_ntriples(text) if path.suffix == ".nt" else load_triples(text))
         query = [(v, grammar.start) for v in graph.vertices()]
         result = _checked_run(grammar, graph, query)
         total = sum(len(t) for t in result.answers.values())

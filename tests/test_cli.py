@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import cfpq
-from cfpq import fixpoint_relations, gen_ablist, oracle_eval, parse_grammar, sym
-from cfpq.cli import main
+from cfpq import DataGraph, fixpoint_relations, gen_ablist, oracle_eval, parse_grammar, sym
+from cfpq.cli import _parse_query_file, main
 
 GRAMMAR = "S -> a S b\nS ->\n"
 GRAPH = "1\ta\t2\n1\ta\t3\n2\tb\t3\n3\ta\t1\n3\tb\t4\n"
@@ -23,6 +23,12 @@ def workdir(tmp_path: Path) -> Path:
     (tmp_path / "d.tsv").write_text(GRAPH)
     (tmp_path / "q.tsv").write_text(QUERY)
     return tmp_path
+
+
+def _subprocess_env() -> dict[str, str]:
+    """The environment of a child ``python -m cfpq`` that imports this package."""
+    src = Path(cfpq.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
 
 
 def _stderr_stats(capsys) -> dict[str, str]:
@@ -143,9 +149,10 @@ def test_eval_non_utf8_file_is_a_clean_error(workdir, capsys, role):
     [
         ["eval", "--grammar", "{dir}/g.cfg", "--graph", "{dir}/d.tsv"],
         ["gen", "ablist", "--n", "2"],
+        ["check", "--grammar", "{dir}/g.cfg", "--graph", "{dir}/d.tsv"],
         ["bench", "--grammar", "{dir}/g.cfg", "--gen", "ablist", "--n", "2"],
     ],
-    ids=["eval", "gen", "bench"],
+    ids=["eval", "gen", "check", "bench"],
 )
 def test_out_into_a_missing_directory_is_a_clean_error(workdir, capsys, command):
     target = workdir / "no" / "such" / "dir" / "out.tsv"
@@ -153,6 +160,33 @@ def test_out_into_a_missing_directory_is_a_clean_error(workdir, capsys, command)
     assert code == 2
     err = capsys.readouterr().err
     assert "error: cannot write" in err and str(target) in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["eval", "--grammar", "{dir}/g.cfg", "--graph", "{dir}/d.tsv"],
+        ["gen", "ablist", "--n", "2"],
+        ["check", "--grammar", "{dir}/g.cfg", "--graph", "{dir}/d.tsv"],
+        ["bench", "--grammar", "{dir}/g.cfg", "--gen", "ablist", "--n", "2"],
+    ],
+    ids=["eval", "gen", "check", "bench"],
+)
+def test_a_closed_stdout_is_a_clean_error(workdir, command):
+    # The reader is gone before the first write, as after `| head -1`.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "cfpq", *(arg.format(dir=workdir) for arg in command)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_subprocess_env(),
+    )
+    child.stdout.close()
+    try:
+        err = child.communicate(timeout=60)[1]
+    finally:
+        child.kill()
+    assert child.returncode == 2
+    assert err == b"error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize("kind", ["ablist", "string"])
@@ -174,13 +208,11 @@ def test_label_clash_is_an_error_under_python_O(workdir):
     # clashing S edge would then be silently ignored.
     tainted = workdir / "t.tsv"
     tainted.write_text("1\tS\t2\n")
-    src = Path(cfpq.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     completed = subprocess.run(
         [sys.executable, "-O", "-m", "cfpq", "eval", "--grammar", str(workdir / "g.cfg"), "--graph", str(tainted)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_subprocess_env(),
         timeout=60,
     )
     assert completed.returncode == 2
@@ -220,19 +252,29 @@ def test_check_agrees_on_the_example(workdir, capsys):
 def test_check_reports_the_first_mismatch(workdir, capsys, monkeypatch):
     import cfpq.cli as cli_module
 
-    real_evaluate = cli_module.evaluate
+    real_oracle_eval = cli_module.oracle_eval
 
-    def corrupted(grammar, graph, query, discipline="fifo", seed=0):
-        result = real_evaluate(grammar, graph, query, discipline, seed)
-        result.answers = {pair: targets ^ {0} for pair, targets in result.answers.items()}
-        return result
+    def corrupted(table, vertex, nonterminal):
+        return real_oracle_eval(table, vertex, nonterminal) ^ {0}
 
-    monkeypatch.setattr(cli_module, "evaluate", corrupted)
+    monkeypatch.setattr(cli_module, "oracle_eval", corrupted)
     code = main(["check", "--grammar", str(workdir / "g.cfg"), "--graph", str(workdir / "d.tsv")])
     assert code == 1
     out = capsys.readouterr().out
     assert "mismatch under fifo" in out
     assert "engine=" in out and "oracle=" in out
+
+
+# str.splitlines would also end a line at each of these.
+@pytest.mark.parametrize("char", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_query_lines_end_only_at_cr_and_lf(char):
+    graph = DataGraph()
+    graph.intern(f"x{char}y")
+    graph.intern("z")
+    grammar = parse_grammar(GRAMMAR)
+    assert _parse_query_file(f"x{char}y\tS\r\nz\tS\r", graph, grammar) == [(0, sym("S")), (1, sym("S"))]
+    with pytest.raises(cfpq.CfpqError, match="line 3:"):
+        _parse_query_file(f"x{char}y\tS\r\n\rz\n", graph, grammar)
 
 
 def test_a_repeated_query_pair_changes_nothing(workdir, capsys):
@@ -310,6 +352,24 @@ def test_bench_rejects_zero_reps(workdir, capsys):
     )
     assert code == 2
     assert "--reps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sources, message",
+    [
+        (["--graph", "{dir}/d.tsv", "--gen", "ablist", "--n", "2"], "exactly one of --graph or --gen is required"),
+        ([], "exactly one of --graph or --gen is required"),
+        (["--gen", "ablist"], "--gen requires --n"),
+        (["--gen", "ablist", "--n", "2,x"], "--n: not an integer: 'x'"),
+        (["--gen", "ablist", "--n", ","], "no graphs to benchmark"),
+    ],
+    ids=["both", "neither", "gen-without-n", "n-not-an-integer", "n-empty"],
+)
+def test_bench_graph_source_errors(workdir, capsys, sources, message):
+    code = main(["bench", "--grammar", str(workdir / "g.cfg"), *(arg.format(dir=workdir) for arg in sources)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_add_inverses_round_trip(tmp_path, capsys):

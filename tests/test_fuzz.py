@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfpq import CfpqError, load_ntriples, load_triples, parse_grammar
+from cfpq import CfpqError, load_ntriples, load_triples, parse_grammar, with_inverses
 from cfpq.cli import _parse_query_file
 
 # Pieces of the grammar, TSV and N-Triples formats, so that drawn text
@@ -31,15 +31,15 @@ def test_grammar_parser_raises_only_cfpq_errors(text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(texts, st.booleans())
-def test_triple_loader_raises_only_cfpq_errors(text, add_inverses):
-    _raises_only_cfpq_errors(lambda t: load_triples(t, add_inverses=add_inverses), text)
+@given(texts)
+def test_triple_loader_raises_only_cfpq_errors(text):
+    _raises_only_cfpq_errors(lambda t: with_inverses(load_triples(t)), text)
 
 
 @settings(max_examples=300, deadline=None)
-@given(texts, st.booleans())
-def test_ntriples_loader_raises_only_cfpq_errors(text, add_inverses):
-    _raises_only_cfpq_errors(lambda t: load_ntriples(t, add_inverses=add_inverses), text)
+@given(texts)
+def test_ntriples_loader_raises_only_cfpq_errors(text):
+    _raises_only_cfpq_errors(lambda t: with_inverses(load_ntriples(t)), text)
 
 
 GRAMMAR = parse_grammar("S -> a S b | \n")

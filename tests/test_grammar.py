@@ -114,18 +114,6 @@ def test_serialize_writes_epsilon_as_bare_arrow():
     assert text == "S -> a S b\nS ->\n"
 
 
-def test_explicit_nonterminal_without_production_rejected():
-    p = Production(sym("S"), (sym("a"),))
-    with pytest.raises(InvalidGrammar):
-        Grammar([p], nonterminals=[sym("S"), sym("X")])
-
-
-def test_undeclared_left_hand_side_rejected():
-    rules = [Production(sym("S"), (sym("T"),)), Production(sym("T"), ())]
-    with pytest.raises(InvalidGrammar):
-        Grammar(rules, nonterminals=[sym("S")])
-
-
 def test_start_must_be_a_nonterminal():
     p = Production(sym("S"), (sym("a"),))
     with pytest.raises(InvalidGrammar):

@@ -20,6 +20,7 @@ from cfpq import (
     to_tsv,
     with_inverses,
 )
+from cfpq.graph import _add_inverses
 
 
 def test_load_assigns_dense_ids_in_first_appearance_order():
@@ -66,7 +67,7 @@ def test_empty_fields_raise_with_the_line_number(text):
 
 
 def test_add_inverses_materializes_reversed_edges():
-    g = load_triples("x\tsubClassOf\ty\n", add_inverses=True)
+    g = with_inverses(load_triples("x\tsubClassOf\ty\n"))
     assert len(g.triples) == 2
     assert g.vertex_count == 2
     x, y = g.vertex_id("x"), g.vertex_id("y")
@@ -95,7 +96,8 @@ def test_with_inverses_leaves_its_input_untouched(loop_graph):
     ],
 )
 def test_loading_with_inverses_equals_with_inverses_of_the_load(load, text):
-    in_place = load(text, add_inverses=True)
+    in_place = load(text)
+    _add_inverses(in_place)
     copied = with_inverses(load(text))
     assert in_place.triples == copied.triples
     assert in_place.labels == copied.labels
@@ -109,7 +111,7 @@ def test_inverses_of_a_graph_holding_both_directions():
     text = "x\tp\ty\ny\tp^-1\tx\nz\tp^-1\tx\nx\tq\tx\n"
     originals = load_triples(text).triples
     reversed_copies = {(o, sym(p.text + "^-1"), s) for s, p, o in originals}
-    g = load_triples(text, add_inverses=True)
+    g = with_inverses(load_triples(text))
     assert g.triples == originals | reversed_copies
     assert g.vertex_count == 3
 
@@ -306,11 +308,29 @@ def test_ntriples_trailing_comment_is_not_part_of_the_object(obj, name):
     assert g.vertex_count == (2 if name == "y" else 3)
 
 
+def test_ntriples_raw_tab_in_a_literal_is_its_escape():
+    g = load_ntriples('<http://e/x> <http://e/p> "t\tab" .\n<http://e/x> <http://e/q> "t\\tab" .\n')
+    assert g.vertex_names == ["x", '"t\\tab"']
+    again = load_triples(to_tsv(g))
+    assert to_tsv(again) == to_tsv(g)
+    assert again.edge_count == 2
+
+
+# str.splitlines would also end a line at each of these.
+@pytest.mark.parametrize("char", list("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+def test_lines_end_only_at_cr_and_lf(char):
+    g = load_triples(f"x\tp\ty{char}z\r\nu\tq\tv\rw\tq\tv\n")
+    assert g.vertex_names == ["x", f"y{char}z", "u", "v", "w"]
+    with pytest.raises(MalformedTriple, match="line 3:"):
+        load_triples(f"x\tp\ty{char}z\r\n\rjust one field\n")
+    g = load_ntriples(f'<http://e/x> <http://e/p> "a{char}b" .\r\n<http://e/x> <http://e/q> <http://e/y> .\r')
+    assert g.vertex_names == ["x", f'"a{char}b"', "y"]
+    with pytest.raises(MalformedTriple, match="line 3:"):
+        load_ntriples(f'<http://e/x> <http://e/p> "a{char}b" .\r\n\r<http://e/x>\n')
+
+
 def test_ntriples_inverses():
-    g = load_ntriples(
-        "<http://e/x> <http://e/p> <http://e/y> .\n",
-        add_inverses=True,
-    )
+    g = with_inverses(load_ntriples("<http://e/x> <http://e/p> <http://e/y> .\n"))
     assert g.has_edge(g.vertex_id("y"), sym("p^-1"), g.vertex_id("x"))
 
 
