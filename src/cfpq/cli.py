@@ -26,8 +26,8 @@ from typing import Callable, Iterable
 
 from .engine import Stats, evaluate, results_tsv_groups
 from .errors import CfpqError
-from .grammar import Grammar, Symbol, parse_grammar, sym
-from .graph import GENERATORS, DataGraph, _add_inverses, load_ntriples, load_triples, split_lines, to_tsv
+from .grammar import Grammar, parse_grammar, split_lines
+from .graph import GENERATORS, DataGraph, _add_inverses, load_ntriples, load_triples, to_tsv
 from .oracle import DEFAULT_MAX_TRIPLES, fixpoint_relations, oracle_eval
 
 
@@ -98,8 +98,8 @@ def _graph_from_args(args: argparse.Namespace) -> DataGraph:
     return sources[0][1]()
 
 
-def _parse_query_file(text: str, graph: DataGraph, grammar: Grammar) -> list[tuple[int, Symbol]]:
-    pairs: list[tuple[int, Symbol]] = []
+def _parse_query_file(text: str, graph: DataGraph, grammar: Grammar) -> list[tuple[int, str]]:
+    pairs: list[tuple[int, str]] = []
     offenders: list[str] = []
     for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip() or line.startswith("#"):
@@ -108,13 +108,12 @@ def _parse_query_file(text: str, graph: DataGraph, grammar: Grammar) -> list[tup
         if len(fields) != 2:
             offenders.append(f"line {lineno}: expected 'vertex<TAB>nonterminal', got {line!r}")
             continue
-        name, nt_text = fields
+        name, nonterminal = fields
         problems = []
         if not graph.has_vertex(name):
             problems.append(f"unknown vertex {name!r}")
-        nonterminal = sym(nt_text)
         if nonterminal not in grammar.nonterminals:
-            problems.append(f"unknown nonterminal {nt_text!r}")
+            problems.append(f"unknown nonterminal {nonterminal!r}")
         if problems:
             offenders.append(f"line {lineno}: " + ", ".join(problems))
             continue
@@ -124,13 +123,13 @@ def _parse_query_file(text: str, graph: DataGraph, grammar: Grammar) -> list[tup
     return pairs
 
 
-def _query_from_args(args: argparse.Namespace, grammar: Grammar, graph: DataGraph) -> list[tuple[int, Symbol]]:
+def _query_from_args(args: argparse.Namespace, grammar: Grammar, graph: DataGraph) -> list[tuple[int, str]]:
     if args.query is not None and args.all_from is not None:
         raise CfpqError("--query and --all-from are mutually exclusive")
     if args.query is not None:
         return _parse_query_file(_read_text(args.query), graph, grammar)
     if args.all_from is not None:
-        nonterminal = sym(args.all_from)
+        nonterminal = args.all_from
         if nonterminal not in grammar.nonterminals:
             raise CfpqError(f"--all-from: {args.all_from!r} is not a nonterminal of the grammar")
     else:
@@ -203,14 +202,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     for discipline in ("fifo", "lifo", "random"):
         answers = evaluate(grammar, graph, query, discipline, args.seed).answers
         if answers != expected:
-            for pair in sorted(expected, key=lambda p: (graph.vertex_name(p[0]), p[1].text)):
+            for pair in sorted(expected, key=lambda p: (graph.vertex_name(p[0]), p[1])):
                 if answers[pair] != expected[pair]:
                     vertex, nonterminal = pair
                     got = sorted(graph.vertex_name(v) for v in answers[pair])
                     want = sorted(graph.vertex_name(v) for v in expected[pair])
                     line = (
                         f"check: mismatch under {discipline} at ({graph.vertex_name(vertex)}, "
-                        f"{nonterminal.text}): engine={got} oracle={want}\n"
+                        f"{nonterminal}): engine={got} oracle={want}\n"
                     )
                     _write_output((line,), args.out)
                     return 1

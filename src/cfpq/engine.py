@@ -36,9 +36,13 @@ changes the run, not the fixpoint.
 
 Each vertex set of the run (position set, pending delta, derived
 targets) picks its own container, as Roaring bitmaps do per chunk: a
-dict of int keys and None values while it has at most
-``max(32, vertex_count >> 6)`` members, an int bitmask above that, or
-as soon as a mask is inserted into it. A mask never turns back into a
+dict of int keys and None values, or an int bitmask. The limit is
+``max(32, vertex_count >> 6)`` members. A position set is a dict until
+it grows past the limit or a mask is inserted into it, and its delta
+always has its container. A derived target set starts in the container
+of the first delta that reaches it, and a dict one becomes a mask only
+when it grows past the limit: a mask delta whose new part keeps it
+within the limit joins it as dict keys. A mask never turns back into a
 dict. Sparse sets stay small, and on a dense run a union is one int OR,
 as in the Boolean-matrix formulation of CFPQ. One step function serves
 both containers: a dict delta is walked vertex by vertex, a mask delta's
@@ -71,7 +75,7 @@ from operator import itemgetter, or_
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import InvalidParams, LabelClash, UnknownNonterminal, UnknownVertex
-from .grammar import Grammar, Production, Symbol
+from .grammar import Grammar, Production
 from .graph import DataGraph
 
 VertexSet = dict[int, None] | int
@@ -250,14 +254,14 @@ Rule = tuple[Production, int, tuple[int, ...]]
 
 
 @lru_cache(maxsize=64)
-def _grammar_tables(grammar: Grammar) -> tuple[tuple[Symbol, ...], dict[Symbol, int], tuple[tuple[Rule, ...], ...]]:
-    """Nonterminals in text order, their numbers, and per nonterminal, its rules.
+def _grammar_tables(grammar: Grammar) -> tuple[tuple[str, ...], dict[str, int], tuple[tuple[Rule, ...], ...]]:
+    """Nonterminals sorted by spelling, their numbers, and per nonterminal, its rules.
 
     A rule is a production, its lhs number and, per rhs position, the
     nonterminal's number or -1 before a terminal. Built once per
     grammar and shared, so callers only read them.
     """
-    nonterminals = tuple(sorted(grammar.nonterminals, key=lambda s: s.text))
+    nonterminals = tuple(sorted(grammar.nonterminals))
     number = {nonterminal: i for i, nonterminal in enumerate(nonterminals)}
     rules = tuple(
         tuple((p, i, tuple(number.get(s, -1) for s in p.rhs)) for p in grammar.productions_of(nonterminal))
@@ -293,26 +297,28 @@ class Evaluation:
       (origin, nonterminal) keys and target sets;
     * ``worklist``: the slots whose delta is non-empty.
 
-    Each position set, delta and target set is a dict of None values
-    while it has at most ``_dict_limit(vertex_count)`` members, and an
-    int mask (bit v set for vertex v) once it has more. A position set
-    also turns into a mask when a mask is inserted into it, and its
-    delta turns with it, so a slot's delta always has the container of
-    its position set. A mask never turns back into a dict during a run.
+    Each position set, delta and target set is a dict of None values or
+    an int mask (bit v set for vertex v). A position set is a dict until
+    it has more than ``_dict_limit(vertex_count)`` members or a mask is
+    inserted into it, and its delta turns with it, so a slot's delta
+    always has the container of its position set. A target set starts
+    in the container of the first delta that reaches it, and a dict one
+    turns into a mask only once it has more than the limit. A mask never
+    turns back into a dict during a run.
     """
 
     def __init__(
         self,
         grammar: Grammar,
         graph: DataGraph,
-        query: Iterable[tuple[int, Symbol]],
+        query: Iterable[tuple[int, str]],
         discipline: str = "fifo",
         seed: int = 0,
     ):
         clash = graph.labels & grammar.nonterminals
         if clash:
             raise LabelClash(
-                f"graph labels collide with grammar nonterminals: {', '.join(sorted(s.text for s in clash))}"
+                f"graph labels collide with grammar nonterminals: {', '.join(sorted(clash))}"
             )
         self.grammar = grammar
         self.graph = graph
@@ -325,7 +331,7 @@ class Evaluation:
         self._derived: dict[int, VertexSet] = {}
         self._limit = _dict_limit(graph.vertex_count)
         # Per label, the successor masks of the sources mask steps have read.
-        self._successor_masks: dict[Symbol, _SuccessorMasks] = {}
+        self._successor_masks: dict[str, _SuccessorMasks] = {}
         self._width = grammar.max_rhs_len + 1
         self._nonterminals, self._number, self._rules = _grammar_tables(grammar)
         # Per item index, its rule and its origin. TraceItem views are
@@ -334,11 +340,11 @@ class Evaluation:
         self._item_rules: list[Rule] = []
         self._origins: list[int] = []
 
-        pairs: list[tuple[int, Symbol]] = []
-        seen: set[tuple[int, Symbol]] = set()
+        pairs: list[tuple[int, str]] = []
+        seen: set[tuple[int, str]] = set()
         for vertex, nonterminal in query:
             if nonterminal not in grammar.nonterminals:
-                raise UnknownNonterminal(f"queried symbol {nonterminal.text!r} is not a nonterminal")
+                raise UnknownNonterminal(f"queried symbol {nonterminal!r} is not a nonterminal")
             if not 0 <= vertex < graph.vertex_count:
                 raise UnknownVertex(f"queried vertex {vertex} out of range")
             if (vertex, nonterminal) not in seen:
@@ -557,7 +563,7 @@ class Evaluation:
         return tuple(items)
 
     @property
-    def derived(self) -> dict[tuple[int, Symbol], set[int]]:
+    def derived(self) -> dict[tuple[int, str], set[int]]:
         """The derived-edge store keyed by (origin, nonterminal), built on each read."""
         width = len(self._nonterminals)
         return {
@@ -575,14 +581,14 @@ class Evaluation:
             process(slot, pending.pop(slot))
         return self
 
-    def _answer_sets(self) -> Iterator[tuple[int, Symbol, VertexSet | None]]:
+    def _answer_sets(self) -> Iterator[tuple[int, str, VertexSet | None]]:
         """Per query pair, its vertex, nonterminal and targets as the store holds them (None for none)."""
         width, number, derived = len(self._nonterminals), self._number, self._derived
         for vertex, nonterminal in self.query:
             yield vertex, nonterminal, derived.get(vertex * width + number[nonterminal])
 
     @property
-    def answers(self) -> dict[tuple[int, Symbol], set[int]]:
+    def answers(self) -> dict[tuple[int, str], set[int]]:
         """Each query pair's answer set, built from the store on each read."""
         return {
             (vertex, nonterminal): set(_vertices(targets))
@@ -602,7 +608,7 @@ class Evaluation:
 def evaluate(
     grammar: Grammar,
     graph: DataGraph,
-    query: Iterable[tuple[int, Symbol]],
+    query: Iterable[tuple[int, str]],
     discipline: str = "fifo",
     seed: int = 0,
 ) -> Evaluation:
@@ -626,9 +632,9 @@ def render_item(item: TraceItem, graph: DataGraph) -> str:
     sets, pending = item.sets, item.pending
     parts = [render_position_set(sets[0], pending[0], graph)]
     for j, symbol in enumerate(item.production.rhs, start=1):
-        parts.append(symbol.text)
+        parts.append(symbol)
         parts.append(render_position_set(sets[j], pending[j], graph))
-    return f"[{item.production.lhs.text} -> {' '.join(parts)}]"
+    return f"[{item.production.lhs} -> {' '.join(parts)}]"
 
 
 def final_items(result: Evaluation) -> list[str]:
@@ -657,7 +663,7 @@ def results_tsv_groups(result: Evaluation) -> Iterator[str]:
     """
     names = result.graph.vertex_names
     groups = sorted(
-        (names[vertex], nonterminal.text, targets)
+        (names[vertex], nonterminal, targets)
         for vertex, nonterminal, targets in result._answer_sets()
         if targets
     )

@@ -10,7 +10,7 @@ class EmptyGrammar(CfpqError):
 
 
 class MalformedRule(CfpqError):
-    """A grammar line does not match ``LHS -> sym sym ...``."""
+    """A grammar line does not match ``LHS -> symbols...``."""
 
 
 class InvalidGrammar(CfpqError):

@@ -1,9 +1,10 @@
 """Context-free grammar model and a small text format for grammar files.
 
-A grammar is a list of productions ``A -> x y z`` over interned symbols.
-The nonterminals are the symbols that appear on some left-hand side;
-every other symbol mentioned on a right-hand side is a terminal. The
-start symbol is the left-hand side of the first rule.
+A grammar is a list of productions ``A -> x y z`` over symbols, and a
+symbol is a plain ``str``, its spelling. The nonterminals are the
+symbols that appear on some left-hand side; every other symbol mentioned
+on a right-hand side is a terminal. The start symbol is the left-hand
+side of the first rule.
 
 Grammar file format (``.cfg`` by convention, UTF-8):
 
@@ -12,6 +13,7 @@ Grammar file format (``.cfg`` by convention, UTF-8):
     S -> S S | a S b        # '|' separates alternatives of one left-hand side
     S ->                    # empty right-hand side derives the empty string
 
+Lines end at ``\r\n``, ``\r`` or ``\n`` only (see ``split_lines``).
 Symbol spellings are opaque tokens, so ``subClassOf^-1`` is a perfectly
 ordinary terminal. ``#`` and ``|`` are reserved by the format and cannot
 appear inside a spelling.
@@ -27,50 +29,27 @@ from .errors import EmptyGrammar, InvalidGrammar, MalformedRule, UnknownNontermi
 _ARROW = "->"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Symbol:
-    """An interned grammar/graph symbol; equal text means the same object.
+def split_lines(text: str) -> list[str]:
+    r"""``text`` split into lines at ``\r\n``, ``\r`` and ``\n`` only.
 
-    Only ``sym`` constructs symbols and it interns them, so equality and
-    hashing go by identity, which is exact and cheaper than comparing
-    fields.
+    ``str.splitlines`` also breaks at ``\x0b``, ``\x0c``, ``\x1c``-``\x1e``,
+    ``\x85``, U+2028 and U+2029, which may stand inside a field, a
+    literal or a comment. Each pass runs over the whole string in C.
     """
-
-    id: int
-    text: str
-
-    def __repr__(self) -> str:
-        return f"Symbol({self.text!r})"
-
-    def __str__(self) -> str:
-        return self.text
-
-
-_interned: dict[str, Symbol] = {}
-
-
-def sym(text: str) -> Symbol:
-    """Intern ``text`` as a Symbol. Repeated calls return the same object."""
-    s = _interned.get(text)
-    if s is None:
-        s = Symbol(len(_interned), text)
-        _interned[text] = s
-    return s
-
-
-def as_symbol(value: str | Symbol) -> Symbol:
-    return value if isinstance(value, Symbol) else sym(value)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 @dataclass(frozen=True, slots=True)
 class Production:
     """One rule ``lhs -> rhs``; an empty rhs derives the empty string."""
 
-    lhs: Symbol
-    rhs: tuple[Symbol, ...]
+    lhs: str
+    rhs: tuple[str, ...]
 
     def __repr__(self) -> str:
-        return f"Production({self.lhs.text} -> {' '.join(s.text for s in self.rhs)})"
+        return f"Production({self.lhs} -> {' '.join(self.rhs)})"
 
 
 class Grammar:
@@ -84,7 +63,7 @@ class Grammar:
 
     __slots__ = ("productions", "start", "nonterminals", "terminals", "max_rhs_len", "_by_lhs", "_hash")
 
-    def __init__(self, productions: Iterable[Production], start: Symbol | None = None):
+    def __init__(self, productions: Iterable[Production], start: str | None = None):
         prods = tuple(productions)
         if not prods:
             raise EmptyGrammar("a grammar needs at least one production")
@@ -92,9 +71,9 @@ class Grammar:
         if start is None:
             start = prods[0].lhs
         if start not in nts:
-            raise InvalidGrammar(f"start symbol {start.text!r} is not a nonterminal")
+            raise InvalidGrammar(f"start symbol {start!r} is not a nonterminal")
 
-        by_lhs: dict[Symbol, list[Production]] = {}
+        by_lhs: dict[str, list[Production]] = {}
         for p in prods:
             by_lhs.setdefault(p.lhs, []).append(p)
 
@@ -107,10 +86,10 @@ class Grammar:
         # Hashed once: the engine looks its per-grammar tables up by grammar.
         self._hash = hash((prods, start))
 
-    def productions_of(self, a: Symbol) -> tuple[Production, ...]:
+    def productions_of(self, a: str) -> tuple[Production, ...]:
         """All productions with left-hand side ``a``, in source order."""
         if a not in self.nonterminals:
-            raise UnknownNonterminal(f"{a.text!r} is not a nonterminal of this grammar")
+            raise UnknownNonterminal(f"{a!r} is not a nonterminal of this grammar")
         return self._by_lhs[a]
 
     def __eq__(self, other: object) -> bool:
@@ -123,7 +102,7 @@ class Grammar:
 
     def __repr__(self) -> str:
         return (
-            f"Grammar(start={self.start.text}, |N|={len(self.nonterminals)}, "
+            f"Grammar(start={self.start}, |N|={len(self.nonterminals)}, "
             f"|T|={len(self.terminals)}, |P|={len(self.productions)})"
         )
 
@@ -135,7 +114,7 @@ def parse_grammar(text: str) -> Grammar:
     line that is not ``LHS -> ...``.
     """
     productions: list[Production] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -145,14 +124,14 @@ def parse_grammar(text: str) -> Grammar:
         for t in tokens:
             if "|" in t and t != "|":
                 raise MalformedRule(f"line {lineno}: '|' may not appear inside a symbol: {t!r}")
-        lhs = sym(tokens[0])
-        alternative: list[Symbol] = []
+        lhs = tokens[0]
+        alternative: list[str] = []
         for t in tokens[2:]:
             if t == "|":
                 productions.append(Production(lhs, tuple(alternative)))
                 alternative = []
             else:
-                alternative.append(sym(t))
+                alternative.append(t)
         productions.append(Production(lhs, tuple(alternative)))
     if not productions:
         raise EmptyGrammar("no grammar rules found")
@@ -167,6 +146,5 @@ def serialize_grammar(grammar: Grammar) -> str:
     """
     lines = []
     for p in grammar.productions:
-        rhs = " ".join(s.text for s in p.rhs)
-        lines.append(f"{p.lhs.text} -> {rhs}".rstrip())
+        lines.append(f"{p.lhs} -> {' '.join(p.rhs)}".rstrip())
     return "\n".join(lines) + "\n"

@@ -2,13 +2,13 @@
 
 Vertices are dense integers assigned in first-appearance order; the
 original vertex tokens are kept in a side table so loaders and writers
-can round-trip external names. Labels are interned Symbols and the graph
-places no restriction on the label alphabet. The edges live in one
-index, label -> source -> set of targets: one adjacency per label, as
-the matrix formulation of CFPQ keeps one Boolean matrix per terminal.
-The query engine only reads a graph: it keeps the nonterminal-labeled
-edges it derives in a store of its own, so many queries can share one
-loaded graph.
+can round-trip external names. A label is a plain ``str``, its spelling,
+and the graph places no restriction on the label alphabet. The edges
+live in one index, label -> source -> set of targets: one adjacency per
+label, as the matrix formulation of CFPQ keeps one Boolean matrix per
+terminal. The query engine only reads a graph: it keeps the
+nonterminal-labeled edges it derives in a store of its own, so many
+queries can share one loaded graph.
 
 Also home to the synthetic generators used by the benchmark CLI and a
 thin N-Triples pre-tokenizer (IRIs and literals become opaque local-name
@@ -22,9 +22,9 @@ import re
 from typing import KeysView, Sequence
 
 from .errors import InvalidParams, MalformedTriple, UnknownVertex
-from .grammar import Symbol, as_symbol, sym
+from .grammar import split_lines
 
-Triple = tuple[int, Symbol, int]
+Triple = tuple[int, str, int]
 
 INVERSE_SUFFIX = "^-1"
 
@@ -46,7 +46,7 @@ class DataGraph:
     def __init__(self) -> None:
         self._names: list[str] = []
         self._ids: dict[str, int] = {}
-        self.index: dict[Symbol, dict[int, set[int]]] = {}
+        self.index: dict[str, dict[int, set[int]]] = {}
 
     # -- vertices ------------------------------------------------------
 
@@ -88,7 +88,7 @@ class DataGraph:
     # -- edges ---------------------------------------------------------
 
     @property
-    def labels(self) -> KeysView[Symbol]:
+    def labels(self) -> KeysView[str]:
         """Every label of some edge, a read-only view of the index's keys."""
         return self.index.keys()
 
@@ -107,11 +107,11 @@ class DataGraph:
         """Number of edges, summed over the index's target sets."""
         return sum(sum(map(len, by_source.values())) for by_source in self.index.values())
 
-    def add_edge(self, source: int, label: Symbol, target: int) -> bool:
+    def add_edge(self, source: int, label: str, target: int) -> bool:
         """Insert an edge; returns True iff it was not already present."""
         n = len(self._names)
         if not (0 <= source < n and 0 <= target < n):
-            raise UnknownVertex(f"edge endpoint out of range: ({source}, {label.text}, {target})")
+            raise UnknownVertex(f"edge endpoint out of range: ({source}, {label}, {target})")
         by_source = self.index.get(label)
         if by_source is None:
             by_source = self.index[label] = {}
@@ -124,11 +124,11 @@ class DataGraph:
             targets.add(target)
         return True
 
-    def has_edge(self, source: int, label: Symbol, target: int) -> bool:
+    def has_edge(self, source: int, label: str, target: int) -> bool:
         by_source = self.index.get(label)
         return by_source is not None and target in by_source.get(source, ())
 
-    def successors(self, source: int, label: Symbol) -> list[int]:
+    def successors(self, source: int, label: str) -> list[int]:
         """Targets of ``label``-edges leaving ``source``, ascending."""
         by_source = self.index.get(label)
         return sorted(by_source.get(source, ())) if by_source else []
@@ -150,18 +150,6 @@ class DataGraph:
 # -- text formats -------------------------------------------------------
 
 
-def split_lines(text: str) -> list[str]:
-    r"""``text`` split into lines at ``\r\n``, ``\r`` and ``\n`` only.
-
-    ``str.splitlines`` also breaks at ``\x0b``, ``\x0c``, ``\x1c``-``\x1e``,
-    ``\x85``, U+2028 and U+2029, which may stand inside a field or a
-    literal. Each pass runs over the whole string in C.
-    """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
-
-
 def load_triples(text: str) -> DataGraph:
     """Parse tab-separated ``subject<TAB>predicate<TAB>object`` lines.
 
@@ -179,7 +167,7 @@ def load_triples(text: str) -> DataGraph:
         if "" in fields:
             raise MalformedTriple(f"line {lineno}: empty field")
         s, p, o = fields
-        g.add_edge(g.intern(s), sym(p), g.intern(o))
+        g.add_edge(g.intern(s), p, g.intern(o))
     return g
 
 
@@ -191,7 +179,7 @@ def _add_inverses(g: DataGraph) -> None:
     when ``g`` holds both p and p^-1 edges, writing the inverse of p into
     p^-1 must not add to the p^-1 edges still to be inverted.
     """
-    inverted: dict[Symbol, dict[int, set[int]]] = {}
+    inverted: dict[str, dict[int, set[int]]] = {}
     for label, by_source in g.index.items():
         by_target: dict[int, set[int]] = {}
         for source, targets in by_source.items():
@@ -201,7 +189,7 @@ def _add_inverses(g: DataGraph) -> None:
                     by_target[target] = {source}
                 else:
                     sources.add(source)
-        inverted[sym(label.text + INVERSE_SUFFIX)] = by_target
+        inverted[label + INVERSE_SUFFIX] = by_target
     for label, by_target in inverted.items():
         by_source = g.index.setdefault(label, {})
         for target, sources in by_target.items():
@@ -221,7 +209,7 @@ def with_inverses(g: DataGraph) -> DataGraph:
 
 def to_tsv(g: DataGraph) -> str:
     """Render every edge as sorted TSV lines with external names."""
-    rows = sorted((s, label.text, t) for s, label, t in g.triples)
+    rows = sorted(g.triples)
     return "".join(f"{g.vertex_name(s)}\t{label}\t{g.vertex_name(t)}\n" for s, label, t in rows)
 
 
@@ -273,7 +261,7 @@ def load_ntriples(text: str) -> DataGraph:
             # A literal may hold a raw tab, the same string as its escape;
             # kept raw, it would split the vertex name in TSV output.
             rest = rest.replace("\t", "\\t")
-        g.add_edge(g.intern(_local_name(s)), sym(_local_name(p)), g.intern(_local_name(rest)))
+        g.add_edge(g.intern(_local_name(s)), _local_name(p), g.intern(_local_name(rest)))
     return g
 
 
@@ -294,14 +282,14 @@ def _fresh(n: int) -> DataGraph:
     return g
 
 
-def _label_list(labels: Sequence[str | Symbol]) -> list[Symbol]:
-    out = [as_symbol(l) for l in labels]
+def _label_list(labels: Sequence[str]) -> list[str]:
+    out = list(labels)
     if not out:
         raise InvalidParams("at least one label is required")
     return out
 
 
-def gen_complete(n: int, labels: Sequence[str | Symbol] = ("a",)) -> DataGraph:
+def gen_complete(n: int, labels: Sequence[str] = ("a",)) -> DataGraph:
     """Complete graph: every ordered pair (self-loops included) under every label."""
     labs = _label_list(labels)
     g = _fresh(n)
@@ -316,32 +304,29 @@ def gen_ablist(n: int) -> DataGraph:
     """Chain of 2n+1 vertices tracing the word a^n b^n."""
     _check_size(n)
     g = _fresh(2 * n + 1)
-    a, b = sym("a"), sym("b")
     for i in range(n):
-        g.add_edge(i, a, i + 1)
+        g.add_edge(i, "a", i + 1)
     for i in range(n, 2 * n):
-        g.add_edge(i, b, i + 1)
+        g.add_edge(i, "b", i + 1)
     return g
 
 
-def gen_string(n: int, label: str | Symbol = "s") -> DataGraph:
+def gen_string(n: int, label: str = "s") -> DataGraph:
     """Chain of n+1 vertices connected by n same-labeled edges."""
     _check_size(n)
     g = _fresh(n + 1)
-    lab = as_symbol(label)
     for i in range(n):
-        g.add_edge(i, lab, i + 1)
+        g.add_edge(i, label, i + 1)
     return g
 
 
-def gen_cycle(n: int, label: str | Symbol = "s") -> DataGraph:
+def gen_cycle(n: int, label: str = "s") -> DataGraph:
     """Directed ring of n >= 1 vertices under one label."""
     if n < 1:
         raise InvalidParams(f"cycle needs at least one vertex, got {n}")
     g = _fresh(n)
-    lab = as_symbol(label)
     for i in range(n):
-        g.add_edge(i, lab, (i + 1) % n)
+        g.add_edge(i, label, (i + 1) % n)
     return g
 
 
@@ -349,7 +334,7 @@ def gen_barabasi(
     n: int,
     k: int,
     seed: int = 0,
-    labels: Sequence[str | Symbol] = ("a", "b", "c", "d"),
+    labels: Sequence[str] = ("a", "b", "c", "d"),
 ) -> DataGraph:
     """Preferential-attachment graph with uniformly random labels.
 
@@ -403,7 +388,7 @@ def gen_barabasi(
             step >>= 1
         return position
 
-    def insert(s: int, label: Symbol, t: int) -> None:
+    def insert(s: int, label: str, t: int) -> None:
         if g.add_edge(s, label, t):
             bump(s)
             bump(t)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .errors import SizeGuardExceeded, UnknownNonterminal
-from .grammar import Grammar, Symbol
+from .grammar import Grammar
 from .graph import DataGraph
 
 Relation = set[tuple[int, int]]
@@ -28,7 +28,7 @@ class RelationTable:
 
     __slots__ = ("grammar", "relations", "vertex_count", "passes")
 
-    def __init__(self, grammar: Grammar, relations: dict[Symbol, Relation], vertex_count: int, passes: int):
+    def __init__(self, grammar: Grammar, relations: dict[str, Relation], vertex_count: int, passes: int):
         self.grammar = grammar
         self.relations = relations
         self.vertex_count = vertex_count
@@ -43,7 +43,7 @@ def compose(left: Relation, right: Relation) -> Relation:
     return {(x, z) for x, y in left if y in by_source for z in by_source[y]}
 
 
-def _sequence_relation(rhs: Sequence[Symbol], relations: dict[Symbol, Relation], vertex_count: int) -> Relation:
+def _sequence_relation(rhs: Sequence[str], relations: dict[str, Relation], vertex_count: int) -> Relation:
     if not rhs:
         return {(v, v) for v in range(vertex_count)}
     acc = relations[rhs[0]]
@@ -56,7 +56,7 @@ def fixpoint_relations(
     grammar: Grammar,
     graph: DataGraph,
     max_triples: int = DEFAULT_MAX_TRIPLES,
-    on_pass: Callable[[dict[Symbol, frozenset[tuple[int, int]]]], None] | None = None,
+    on_pass: Callable[[dict[str, frozenset[tuple[int, int]]]], None] | None = None,
 ) -> RelationTable:
     """Compute every symbol's relation by naive iteration to a fixpoint.
 
@@ -69,7 +69,7 @@ def fixpoint_relations(
         raise SizeGuardExceeded(
             f"input has {len(triples)} triples, over the budget of {max_triples}"
         )
-    relations: dict[Symbol, Relation] = {symbol: set() for symbol in grammar.terminals}
+    relations: dict[str, Relation] = {symbol: set() for symbol in grammar.terminals}
     for source, label, target in triples:
         if label in relations:
             relations[label].add((source, target))
@@ -97,14 +97,14 @@ def fixpoint_relations(
     return RelationTable(grammar, relations, graph.vertex_count, passes)
 
 
-def oracle_eval(table: RelationTable, vertex: int, nonterminal: Symbol) -> set[int]:
+def oracle_eval(table: RelationTable, vertex: int, nonterminal: str) -> set[int]:
     """Answer set for one query pair, read off the fixpoint table."""
     if nonterminal not in table.grammar.nonterminals:
-        raise UnknownNonterminal(f"{nonterminal.text!r} is not a nonterminal of this grammar")
+        raise UnknownNonterminal(f"{nonterminal!r} is not a nonterminal of this grammar")
     return {target for source, target in table.relations[nonterminal] if source == vertex}
 
 
-def reachable_via(table: RelationTable, vertex: int, symbols: Sequence[Symbol]) -> set[int]:
+def reachable_via(table: RelationTable, vertex: int, symbols: Sequence[str]) -> set[int]:
     """Vertices reached from ``vertex`` along the symbol sequence.
 
     Folds each symbol's relation over a frontier set; the empty sequence

@@ -28,7 +28,6 @@ from cfpq import (
     parse_grammar,
     preset,
     results_tsv,
-    sym,
     with_inverses,
 )
 
@@ -82,7 +81,7 @@ def _checked_run(grammar, graph, query, discipline="fifo", seed=0):
 def _example_instance():
     grammar = parse_grammar(EXAMPLE_GRAMMAR)
     graph = load_triples(EXAMPLE_GRAPH)
-    query = [(graph.vertex_id("1"), sym("S")), (graph.vertex_id("3"), sym("S"))]
+    query = [(graph.vertex_id("1"), "S"), (graph.vertex_id("3"), "S")]
     return grammar, graph, query
 
 
@@ -123,7 +122,7 @@ def test_criterion_1_worked_example_fixpoint():
     items_ok = final_items(result) == EXPECTED_FINAL_ITEMS
     g = result.graph
     added = {
-        (g.vertex_name(s), label.text, g.vertex_name(t))
+        (g.vertex_name(s), label, g.vertex_name(t))
         for (s, label), targets in result.derived.items()
         for t in targets
     }
@@ -138,7 +137,7 @@ def test_criterion_2_worked_example_answers():
     result = _checked_run(grammar, graph, query)
     g = result.graph
     named = {
-        (g.vertex_name(v), nt.text): {g.vertex_name(t) for t in targets}
+        (g.vertex_name(v), nt): {g.vertex_name(t) for t in targets}
         for (v, nt), targets in result.answers.items()
     }
     elapsed = time.perf_counter() - started
@@ -176,7 +175,7 @@ def test_criterion_4_ambiguity_does_not_change_answers():
         graph = gen_ablist(n)
         ambiguous = preset("ab_ambiguous")
         unambiguous = preset("ab_unambiguous")
-        query = [(v, sym("S")) for v in graph.vertices()]
+        query = [(v, "S") for v in graph.vertices()]
         res_a = _checked_run(ambiguous, graph, query)
         res_u = _checked_run(unambiguous, graph, query)
         ok = ok and res_a.answers == res_u.answers
@@ -219,7 +218,7 @@ def test_criterion_6_structure_counters_stay_in_bounds():
     ok = True
     for n in (10, 20, 40):
         graph = gen_complete(n, ["s"])
-        query = [(v, sym("A")) for v in graph.vertices()]
+        query = [(v, "A") for v in graph.vertices()]
         result = _checked_run(grammar, graph, query)  # asserts the absolute bounds
         pops[n] = result.stats.pops
         ok = ok and result.stats.pops == result.stats.insertions
@@ -243,14 +242,14 @@ def test_criterion_7_chain_answers_match_closed_forms():
     ok = True
     for n in (1, 5, 50):
         graph = gen_string(n, "s")
-        dense_result = _checked_run(dense, graph, [(0, sym("A"))])
-        sparse_result = _checked_run(sparse, graph, [(0, sym("B"))])
-        ok = ok and dense_result.answers[(0, sym("A"))] == set(range(1, n + 1))
-        ok = ok and sparse_result.answers[(0, sym("B"))] == set(range(0, n + 1))
+        dense_result = _checked_run(dense, graph, [(0, "A")])
+        sparse_result = _checked_run(sparse, graph, [(0, "B")])
+        ok = ok and dense_result.answers[(0, "A")] == set(range(1, n + 1))
+        ok = ok and sparse_result.answers[(0, "B")] == set(range(0, n + 1))
         dense_table = fixpoint_relations(dense, graph)
         sparse_table = fixpoint_relations(sparse, graph)
-        ok = ok and dense_result.answers[(0, sym("A"))] == oracle_eval(dense_table, 0, sym("A"))
-        ok = ok and sparse_result.answers[(0, sym("B"))] == oracle_eval(sparse_table, 0, sym("B"))
+        ok = ok and dense_result.answers[(0, "A")] == oracle_eval(dense_table, 0, "A")
+        ok = ok and sparse_result.answers[(0, "B")] == oracle_eval(sparse_table, 0, "B")
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 10.0
     _report(7, "one-or-more and zero-or-more chain walks", ok, f"{elapsed:.1f}s")

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cfpq
-from cfpq import DataGraph, fixpoint_relations, gen_ablist, oracle_eval, parse_grammar, sym
+from cfpq import DataGraph, fixpoint_relations, gen_ablist, oracle_eval, parse_grammar
 from cfpq.cli import _parse_query_file, main
 
 GRAMMAR = "S -> a S b\nS ->\n"
@@ -272,7 +272,7 @@ def test_query_lines_end_only_at_cr_and_lf(char):
     graph.intern(f"x{char}y")
     graph.intern("z")
     grammar = parse_grammar(GRAMMAR)
-    assert _parse_query_file(f"x{char}y\tS\r\nz\tS\r", graph, grammar) == [(0, sym("S")), (1, sym("S"))]
+    assert _parse_query_file(f"x{char}y\tS\r\nz\tS\r", graph, grammar) == [(0, "S"), (1, "S")]
     with pytest.raises(cfpq.CfpqError, match="line 3:"):
         _parse_query_file(f"x{char}y\tS\r\n\rz\n", graph, grammar)
 
@@ -329,7 +329,7 @@ def test_bench_sweeps_and_is_stable(workdir, capsys):
         assert row["graph"] == f"ablist(n={n})"
         graph = gen_ablist(n)
         table = fixpoint_relations(grammar, graph)
-        expected = sum(len(oracle_eval(table, v, sym("S"))) for v in graph.vertices())
+        expected = sum(len(oracle_eval(table, v, "S")) for v in graph.vertices())
         assert int(row["results"]) == expected
         assert int(row["vertices"]) == 2 * n + 1
 

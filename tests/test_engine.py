@@ -7,6 +7,7 @@ import pytest
 
 from cfpq import engine
 from cfpq import (
+    DataGraph,
     Evaluation,
     InvalidParams,
     LabelClash,
@@ -24,7 +25,6 @@ from cfpq import (
     preset,
     render_item,
     results_tsv,
-    sym,
     with_inverses,
 )
 
@@ -50,7 +50,7 @@ ADDED_EDGES = {
 
 
 def _example_query(graph):
-    return [(graph.vertex_id("1"), sym("S")), (graph.vertex_id("3"), sym("S"))]
+    return [(graph.vertex_id("1"), "S"), (graph.vertex_id("3"), "S")]
 
 
 def _derived_triples(derived):
@@ -60,14 +60,14 @@ def _derived_triples(derived):
 def _named_answers(result):
     g = result.graph
     return {
-        (g.vertex_name(v), nt.text): {g.vertex_name(t) for t in targets}
+        (g.vertex_name(v), nt): {g.vertex_name(t) for t in targets}
         for (v, nt), targets in result.answers.items()
     }
 
 
 def test_insertion_adds_only_fresh_vertices(nesting_grammar, loop_graph):
     v1 = loop_graph.vertex_id("1")
-    ev = Evaluation(nesting_grammar, loop_graph, [(v1, sym("S"))])
+    ev = Evaluation(nesting_grammar, loop_graph, [(v1, "S")])
     item = ev.items[0]
     slot = item.slot + 1
 
@@ -92,7 +92,7 @@ def test_insertion_adds_only_fresh_vertices(nesting_grammar, loop_graph):
 
 def test_process_slot_wants_a_pending_vertex(nesting_grammar, loop_graph):
     v1, v2 = loop_graph.vertex_id("1"), loop_graph.vertex_id("2")
-    ev = Evaluation(nesting_grammar, loop_graph, [(v1, sym("S"))])
+    ev = Evaluation(nesting_grammar, loop_graph, [(v1, "S")])
     with pytest.raises(InvalidParams, match="not pending"):
         ev.process_slot(ev.items[0], 0, v2)
     ev.process_slot(ev.items[0], 0, v1)
@@ -113,16 +113,16 @@ def test_query_seeds_items_per_production(nesting_grammar, loop_graph):
 
 def test_duplicate_query_pairs_collapse(nesting_grammar, loop_graph):
     v1 = loop_graph.vertex_id("1")
-    ev = Evaluation(nesting_grammar, loop_graph, [(v1, sym("S")), (v1, sym("S"))])
+    ev = Evaluation(nesting_grammar, loop_graph, [(v1, "S"), (v1, "S")])
     assert len(ev.items) == 2
-    assert ev.query == ((v1, sym("S")),)
+    assert ev.query == ((v1, "S"),)
 
 
 def test_query_validation(nesting_grammar, loop_graph):
     with pytest.raises(UnknownNonterminal):
-        Evaluation(nesting_grammar, loop_graph, [(0, sym("a"))])
+        Evaluation(nesting_grammar, loop_graph, [(0, "a")])
     with pytest.raises(UnknownVertex):
-        Evaluation(nesting_grammar, loop_graph, [(99, sym("S"))])
+        Evaluation(nesting_grammar, loop_graph, [(99, "S")])
 
 
 def test_empty_query_is_a_no_op(nesting_grammar, loop_graph):
@@ -187,7 +187,7 @@ def test_scripted_drive_matches_frozen_trace(nesting_grammar, loop_graph):
     """Walk the first eight slot picks of the worked example by hand."""
     g = loop_graph
     v1, v2, v3 = g.vertex_id("1"), g.vertex_id("2"), g.vertex_id("3")
-    S = sym("S")
+    S = "S"
     ev = Evaluation(nesting_grammar, g, _example_query(g))
     i1, i2 = ev.items[0], ev.items[1]
 
@@ -233,7 +233,7 @@ def test_fixpoint_answers_edges_and_items(nesting_grammar, loop_graph):
     }
     g = result.graph
     added = {
-        (g.vertex_name(s), label.text, g.vertex_name(t))
+        (g.vertex_name(s), label, g.vertex_name(t))
         for s, label, t in _derived_triples(result.derived)
     }
     assert added == ADDED_EDGES
@@ -248,23 +248,33 @@ def test_results_tsv_is_bit_stable(nesting_grammar, loop_graph):
     )
 
 
+def test_edges_added_by_hand_answer_as_loaded_ones(nesting_grammar, loop_graph):
+    graph = DataGraph()
+    for s, label, t in [("1", "a", "2"), ("1", "a", "3"), ("2", "b", "3"), ("3", "a", "1"), ("3", "b", "4")]:
+        graph.add_edge(graph.intern(s), label, graph.intern(t))
+    built = evaluate(nesting_grammar, graph, _example_query(graph))
+    loaded = evaluate(nesting_grammar, loop_graph, _example_query(loop_graph))
+    assert built.answers == loaded.answers
+    assert results_tsv(built) == results_tsv(loaded)
+
+
 def test_epsilon_rule_always_answers_self(loop_graph):
     grammar = parse_grammar("S ->\n")
-    query = [(v, sym("S")) for v in loop_graph.vertices()]
+    query = [(v, "S") for v in loop_graph.vertices()]
     result = evaluate(grammar, loop_graph, query)
-    assert result.answers == {(v, sym("S")): {v} for v in loop_graph.vertices()}
+    assert result.answers == {(v, "S"): {v} for v in loop_graph.vertices()}
 
 
 def test_single_label_chain_answers():
     grammar = parse_grammar("A -> A A\nA -> s\n")
     graph = gen_string(3, "s")
-    result = evaluate(grammar, graph, [(0, sym("A"))])
-    assert result.answers[(0, sym("A"))] == {1, 2, 3}
+    result = evaluate(grammar, graph, [(0, "A")])
+    assert result.answers[(0, "A")] == {1, 2, 3}
 
 
 def test_final_items_for_an_isolated_origin(nesting_grammar, loop_graph):
     v2 = loop_graph.vertex_id("2")
-    result = evaluate(nesting_grammar, loop_graph, [(v2, sym("S"))])
+    result = evaluate(nesting_grammar, loop_graph, [(v2, "S")])
     assert final_items(result) == [
         "[S -> {2•} a {} S {} b {}]",
         "[S -> {2•}]",
@@ -275,22 +285,22 @@ def test_final_items_for_an_isolated_origin(nesting_grammar, loop_graph):
 def test_left_recursion_terminates():
     grammar = parse_grammar("A -> A a | a\n")
     graph = gen_string(3, "a")
-    result = evaluate(grammar, graph, [(0, sym("A"))])
-    assert result.answers[(0, sym("A"))] == {1, 2, 3}
+    result = evaluate(grammar, graph, [(0, "A")])
+    assert result.answers[(0, "A")] == {1, 2, 3}
     table = fixpoint_relations(grammar, graph)
-    assert result.answers[(0, sym("A"))] == oracle_eval(table, 0, sym("A"))
+    assert result.answers[(0, "A")] == oracle_eval(table, 0, "A")
 
 
 def test_mutual_recursion_on_a_two_cycle():
     grammar = parse_grammar("S -> a T\nT -> b S |\n")
     graph = load_triples("x\ta\ty\ny\tb\tx\n")
-    query = [(v, sym("S")) for v in graph.vertices()]
+    query = [(v, "S") for v in graph.vertices()]
     result = evaluate(grammar, graph, query)
     table = fixpoint_relations(grammar, graph)
     for v in graph.vertices():
-        assert result.answers[(v, sym("S"))] == oracle_eval(table, v, sym("S"))
+        assert result.answers[(v, "S")] == oracle_eval(table, v, "S")
     # words of S are (ab)*a, so from x every witness lands on y
-    assert result.answers[(graph.vertex_id("x"), sym("S"))] == {graph.vertex_id("y")}
+    assert result.answers[(graph.vertex_id("x"), "S")] == {graph.vertex_id("y")}
 
 
 def test_disciplines_reach_the_same_fixpoint(nesting_grammar, loop_graph):
@@ -320,12 +330,12 @@ def test_rederiving_an_edge_changes_nothing():
     # the ambiguous grammar derives many parses of the same window
     grammar = preset("ab_ambiguous")
     graph = load_triples("1\ta\t2\n1\ta\t3\n2\tb\t3\n3\ta\t1\n3\tb\t4\n")
-    query = [(v, sym("S")) for v in graph.vertices()]
+    query = [(v, "S") for v in graph.vertices()]
     result = evaluate(grammar, graph, query)
     assert result.stats.edges_added == len(_derived_triples(result.derived))
     table = fixpoint_relations(grammar, graph)
     for v in graph.vertices():
-        assert result.answers[(v, sym("S"))] == oracle_eval(table, v, sym("S"))
+        assert result.answers[(v, "S")] == oracle_eval(table, v, "S")
 
 
 def test_everything_grows_monotonically_under_stepping(nesting_grammar, loop_graph):
@@ -364,7 +374,7 @@ def test_structure_bounds_hold(nesting_grammar, loop_graph):
 def test_engine_asserts_label_disjointness(nesting_grammar):
     tainted = load_triples("1\tS\t2\n")
     with pytest.raises(LabelClash, match="collide"):
-        Evaluation(nesting_grammar, tainted, [(0, sym("S"))])
+        Evaluation(nesting_grammar, tainted, [(0, "S")])
 
 
 def test_answers_are_successor_lookups(nesting_grammar, loop_graph):
@@ -397,7 +407,7 @@ def test_back_to_back_queries_on_one_loaded_graph():
 
     shared = load()
     for source in (8, 5):
-        query = [(source, sym("S"))]
+        query = [(source, "S")]
         result = evaluate(grammar, shared, query)
         fresh = evaluate(grammar, load(), query)
         assert result.answers == fresh.answers

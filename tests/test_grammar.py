@@ -15,60 +15,59 @@ from cfpq import (
     preset,
     preset_names,
     serialize_grammar,
-    sym,
 )
 
 GRAMMARS_DIR = Path(__file__).resolve().parent.parent / "grammars"
 
 
-def test_symbols_intern_to_the_same_object():
-    assert sym("a") is sym("a")
-    assert sym("a") != sym("b")
-    assert sym("a").id != sym("b").id
-    assert str(sym("subClassOf^-1")) == "subClassOf^-1"
-
-
 def test_parse_nesting_grammar(nesting_grammar):
     g = nesting_grammar
-    assert g.start == sym("S")
-    assert g.nonterminals == {sym("S")}
-    assert g.terminals == {sym("a"), sym("b")}
-    assert [p.rhs for p in g.productions] == [(sym("a"), sym("S"), sym("b")), ()]
+    assert g.start == "S"
+    assert g.nonterminals == {"S"}
+    assert g.terminals == {"a", "b"}
+    assert [p.rhs for p in g.productions] == [("a", "S", "b"), ()]
     assert g.max_rhs_len == 3
 
 
 def test_parse_single_terminal_chain_grammar():
     g = parse_grammar("A -> A A\nA -> s\n")
-    assert g.nonterminals == {sym("A")}
-    assert g.terminals == {sym("s")}
+    assert g.nonterminals == {"A"}
+    assert g.terminals == {"s"}
     assert len(g.productions) == 2
     assert g.max_rhs_len == 2
 
 
 def test_alternatives_expand_in_source_order():
     g = parse_grammar("B -> B A | A B |\nA -> s\n")
-    b_rules = g.productions_of(sym("B"))
+    b_rules = g.productions_of("B")
     assert [p.rhs for p in b_rules] == [
-        (sym("B"), sym("A")),
-        (sym("A"), sym("B")),
+        ("B", "A"),
+        ("A", "B"),
         (),
     ]
     # A is defined on a left-hand side, so it is a nonterminal, not a terminal
-    assert g.nonterminals == {sym("A"), sym("B")}
-    assert g.terminals == {sym("s")}
-    assert g.start == sym("B")
+    assert g.nonterminals == {"A", "B"}
+    assert g.terminals == {"s"}
+    assert g.start == "B"
 
 
 def test_comments_and_blank_lines_are_ignored():
     g = parse_grammar("# header\n\nS -> a  # trailing comment\n   \nS ->\n")
     assert len(g.productions) == 2
-    assert g.productions[0].rhs == (sym("a"),)
+    assert g.productions[0].rhs == ("a",)
+
+
+def test_only_cr_and_lf_end_a_line():
+    # U+2028 inside a comment stays in the comment; a form feed inside a
+    # rule is whitespace between two tokens.
+    assert parse_grammar("S -> a # note\u2028T -> b\n").nonterminals == {"S"}
+    assert parse_grammar("S -> a\x0cb\n").productions[0].rhs == ("a", "b")
 
 
 def test_terminal_free_grammar_is_legal():
     g = parse_grammar("S -> S S\nS ->\n")
     assert g.terminals == frozenset()
-    assert g.nonterminals == {sym("S")}
+    assert g.nonterminals == {"S"}
 
 
 def test_all_epsilon_grammar_has_zero_rhs_len():
@@ -90,9 +89,9 @@ def test_malformed_rules_raise(text):
 
 def test_productions_of_unknown_symbol(nesting_grammar):
     with pytest.raises(UnknownNonterminal):
-        nesting_grammar.productions_of(sym("a"))
+        nesting_grammar.productions_of("a")
     with pytest.raises(UnknownNonterminal):
-        nesting_grammar.productions_of(sym("not-mentioned-anywhere"))
+        nesting_grammar.productions_of("not-mentioned-anywhere")
 
 
 def test_rhs_symbols_partition_into_terminals_and_nonterminals():
@@ -115,9 +114,9 @@ def test_serialize_writes_epsilon_as_bare_arrow():
 
 
 def test_start_must_be_a_nonterminal():
-    p = Production(sym("S"), (sym("a"),))
+    p = Production("S", ("a",))
     with pytest.raises(InvalidGrammar):
-        Grammar([p], start=sym("a"))
+        Grammar([p], start="a")
 
 
 def test_grammar_requires_at_least_one_production():
@@ -134,6 +133,6 @@ def test_presets_match_bundled_files():
 
 def test_inverse_label_spellings_are_plain_terminals():
     g = preset("sc_t")
-    assert sym("subClassOf^-1") in g.terminals
-    assert sym("type^-1") in g.terminals
+    assert "subClassOf^-1" in g.terminals
+    assert "type^-1" in g.terminals
     assert g.max_rhs_len == 3

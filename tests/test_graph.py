@@ -16,7 +16,6 @@ from cfpq import (
     gen_string,
     load_ntriples,
     load_triples,
-    sym,
     to_tsv,
     with_inverses,
 )
@@ -35,18 +34,18 @@ def test_loaded_example_shape(loop_graph):
     assert loop_graph.vertex_count == 4
     assert len(loop_graph.triples) == 5
     assert loop_graph.edge_count == 5
-    assert loop_graph.labels == {sym("a"), sym("b")}
+    assert loop_graph.labels == {"a", "b"}
 
 
 def test_successors_are_ascending_or_empty(loop_graph):
     v1 = loop_graph.vertex_id("1")
     v2 = loop_graph.vertex_id("2")
     v3 = loop_graph.vertex_id("3")
-    assert loop_graph.successors(v1, sym("a")) == sorted(
+    assert loop_graph.successors(v1, "a") == sorted(
         [loop_graph.vertex_id("2"), loop_graph.vertex_id("3")]
     )
-    assert loop_graph.successors(v2, sym("a")) == []
-    assert loop_graph.successors(v3, sym("b")) == [loop_graph.vertex_id("4")]
+    assert loop_graph.successors(v2, "a") == []
+    assert loop_graph.successors(v3, "b") == [loop_graph.vertex_id("4")]
 
 
 def test_duplicate_lines_collapse():
@@ -71,7 +70,7 @@ def test_add_inverses_materializes_reversed_edges():
     assert len(g.triples) == 2
     assert g.vertex_count == 2
     x, y = g.vertex_id("x"), g.vertex_id("y")
-    assert g.has_edge(y, sym("subClassOf^-1"), x)
+    assert g.has_edge(y, "subClassOf^-1", x)
 
 
 def test_with_inverses_adds_no_vertices(loop_graph):
@@ -110,7 +109,7 @@ def test_loading_with_inverses_equals_with_inverses_of_the_load(load, text):
 def test_inverses_of_a_graph_holding_both_directions():
     text = "x\tp\ty\ny\tp^-1\tx\nz\tp^-1\tx\nx\tq\tx\n"
     originals = load_triples(text).triples
-    reversed_copies = {(o, sym(p.text + "^-1"), s) for s, p, o in originals}
+    reversed_copies = {(o, p + "^-1", s) for s, p, o in originals}
     g = with_inverses(load_triples(text))
     assert g.triples == originals | reversed_copies
     assert g.vertex_count == 3
@@ -121,18 +120,18 @@ def test_labels_follow_add_edge():
     x, y = g.intern("x"), g.intern("y")
     labels = g.labels
     assert not labels
-    g.add_edge(x, sym("a"), y)
-    g.add_edge(y, sym("a"), x)
-    assert labels == {sym("a")}
-    g.add_edge(x, sym("b"), x)
-    assert labels == g.labels == {sym("a"), sym("b")}
+    g.add_edge(x, "a", y)
+    g.add_edge(y, "a", x)
+    assert labels == {"a"}
+    g.add_edge(x, "b", x)
+    assert labels == g.labels == {"a", "b"}
     with pytest.raises(AttributeError):
         g.labels = set()
 
 
 def test_copy_is_independent_at_both_levels_of_the_index(loop_graph):
     v1, v2, v3, v4 = (loop_graph.vertex_id(name) for name in "1234")
-    a, c = sym("a"), sym("c")
+    a, c = "a", "c"
     before = set(loop_graph.triples)
     g = loop_graph.copy()
     assert g.index == loop_graph.index
@@ -141,20 +140,20 @@ def test_copy_is_independent_at_both_levels_of_the_index(loop_graph):
     assert g.add_edge(v4, c, v1)  # a new label
     assert loop_graph.triples == before
     assert loop_graph.successors(v1, a) == [v2, v3]
-    assert loop_graph.labels == {a, sym("b")}
+    assert loop_graph.labels == {a, "b"}
     assert g.triples == before | {(v1, a, v4), (v2, a, v1), (v4, c, v1)}
 
 
 def test_add_edge_reports_first_insertion_only(loop_graph):
     v1, v2 = loop_graph.vertex_id("1"), loop_graph.vertex_id("2")
-    assert loop_graph.add_edge(v1, sym("S"), v2) is True
-    assert loop_graph.add_edge(v1, sym("S"), v2) is False
-    assert loop_graph.successors(v1, sym("S")) == [v2]
+    assert loop_graph.add_edge(v1, "S", v2) is True
+    assert loop_graph.add_edge(v1, "S", v2) is False
+    assert loop_graph.successors(v1, "S") == [v2]
 
 
 def test_add_edge_rejects_out_of_range(loop_graph):
     with pytest.raises(UnknownVertex):
-        loop_graph.add_edge(0, sym("a"), 99)
+        loop_graph.add_edge(0, "a", 99)
 
 
 def test_vertex_lookups(loop_graph):
@@ -168,14 +167,14 @@ def test_vertex_lookups(loop_graph):
 
 def test_copy_is_independent(loop_graph):
     g = loop_graph.copy()
-    g.add_edge(0, sym("S"), 0)
-    assert not loop_graph.has_edge(0, sym("S"), 0)
+    g.add_edge(0, "S", 0)
+    assert not loop_graph.has_edge(0, "S", 0)
     assert len(g.triples) == len(loop_graph.triples) + 1
 
 
 def test_gen_complete_exact_edges():
     g = gen_complete(2, ["a"])
-    a = sym("a")
+    a = "a"
     assert g.triples == {(0, a, 0), (0, a, 1), (1, a, 0), (1, a, 1)}
     assert gen_complete(0, ["a"]).vertex_count == 0
     assert len(gen_complete(3, ["a", "b"]).triples) == 18
@@ -189,7 +188,7 @@ def test_gen_complete_needs_a_label():
 def test_gen_ablist_traces_the_word():
     g = gen_ablist(2)
     assert g.vertex_count == 5
-    a, b = sym("a"), sym("b")
+    a, b = "a", "b"
     assert g.triples == {(0, a, 1), (1, a, 2), (2, b, 3), (3, b, 4)}
     assert gen_ablist(0).vertex_count == 1
     assert gen_ablist(0).triples == set()
@@ -198,7 +197,7 @@ def test_gen_ablist_traces_the_word():
 def test_gen_string_chain():
     g = gen_string(3, "s")
     assert g.vertex_count == 4
-    assert g.triples == {(i, sym("s"), i + 1) for i in range(3)}
+    assert g.triples == {(i, "s", i + 1) for i in range(3)}
     assert gen_string(0).triples == set()
 
 
@@ -210,8 +209,8 @@ def test_chain_generators_reject_a_negative_size_by_its_value(generator):
 
 def test_gen_cycle_ring():
     g = gen_cycle(3, "s")
-    assert g.triples == {(0, sym("s"), 1), (1, sym("s"), 2), (2, sym("s"), 0)}
-    assert gen_cycle(1, "s").triples == {(0, sym("s"), 0)}
+    assert g.triples == {(0, "s", 1), (1, "s", 2), (2, "s", 0)}
+    assert gen_cycle(1, "s").triples == {(0, "s", 0)}
     with pytest.raises(InvalidParams):
         gen_cycle(0, "s")
 
@@ -291,7 +290,7 @@ def test_ntriples_tokenizer_maps_iris_to_local_names():
     assert g.has_vertex("Animal")
     assert g.has_vertex("_:b0")
     assert g.has_vertex('"some literal"')
-    assert g.has_edge(g.vertex_id("Cat"), sym("subClassOf"), g.vertex_id("Animal"))
+    assert g.has_edge(g.vertex_id("Cat"), "subClassOf", g.vertex_id("Animal"))
 
 
 @pytest.mark.parametrize(
@@ -304,7 +303,7 @@ def test_ntriples_tokenizer_maps_iris_to_local_names():
 )
 def test_ntriples_trailing_comment_is_not_part_of_the_object(obj, name):
     g = load_ntriples(f"<http://e/x> <http://e/p> {obj}\n<http://e/x> <http://e/q> <http://e/y> .\n")
-    assert g.has_edge(g.vertex_id("x"), sym("p"), g.vertex_id(name))
+    assert g.has_edge(g.vertex_id("x"), "p", g.vertex_id(name))
     assert g.vertex_count == (2 if name == "y" else 3)
 
 
@@ -331,7 +330,7 @@ def test_lines_end_only_at_cr_and_lf(char):
 
 def test_ntriples_inverses():
     g = with_inverses(load_ntriples("<http://e/x> <http://e/p> <http://e/y> .\n"))
-    assert g.has_edge(g.vertex_id("y"), sym("p^-1"), g.vertex_id("x"))
+    assert g.has_edge(g.vertex_id("y"), "p^-1", g.vertex_id("x"))
 
 
 def test_ntriples_malformed():

@@ -15,7 +15,6 @@ from cfpq import (
     oracle_eval,
     parse_grammar,
     reachable_via,
-    sym,
 )
 
 # -- brute-force cross-check helpers ------------------------------------
@@ -35,7 +34,7 @@ def _paths(graph: DataGraph, start: int, max_len: int):
             continue
         for s, label, t in graph.triples:
             if s == vertex:
-                frontier.append((t, trace + (label.text,)))
+                frontier.append((t, trace + (label,)))
 
 
 def _brute_answers(graph: DataGraph, start: int, predicate, max_len: int) -> set[int]:
@@ -52,32 +51,32 @@ def test_nested_pairs_on_ablist():
     graph = gen_ablist(2)
     table = fixpoint_relations(grammar, graph)
     # identity from the empty rule plus the two balanced windows
-    assert table.relations[sym("S")] == {(v, v) for v in range(5)} | {(1, 3), (0, 4)}
+    assert table.relations["S"] == {(v, v) for v in range(5)} | {(1, 3), (0, 4)}
     for v in graph.vertices():
-        assert oracle_eval(table, v, sym("S")) == _brute_answers(graph, v, _is_nested_pairs, 4)
+        assert oracle_eval(table, v, "S") == _brute_answers(graph, v, _is_nested_pairs, 4)
 
 
 def test_worked_example_answers(nesting_grammar, loop_graph):
     table = fixpoint_relations(nesting_grammar, loop_graph)
     by_name = {
-        name: {loop_graph.vertex_name(t) for t in oracle_eval(table, loop_graph.vertex_id(name), sym("S"))}
+        name: {loop_graph.vertex_name(t) for t in oracle_eval(table, loop_graph.vertex_id(name), "S")}
         for name in "1234"
     }
     assert by_name == {"1": {"1", "3", "4"}, "2": {"2"}, "3": {"3", "4"}, "4": {"4"}}
     # longest balanced witness here is aabb; a cap of 8 is roomy
     for name in "1234":
         v = loop_graph.vertex_id(name)
-        assert oracle_eval(table, v, sym("S")) == _brute_answers(loop_graph, v, _is_nested_pairs, 8)
+        assert oracle_eval(table, v, "S") == _brute_answers(loop_graph, v, _is_nested_pairs, 8)
 
 
 def test_epsilon_only_grammar_is_identity(loop_graph):
     table = fixpoint_relations(parse_grammar("S ->\n"), loop_graph)
-    assert table.relations[sym("S")] == {(v, v) for v in range(4)}
+    assert table.relations["S"] == {(v, v) for v in range(4)}
 
 
 def test_no_base_case_stays_empty(loop_graph):
     table = fixpoint_relations(parse_grammar("B -> B\n"), loop_graph)
-    assert table.relations[sym("B")] == set()
+    assert table.relations["B"] == set()
     assert table.passes == 1
 
 
@@ -86,17 +85,17 @@ def test_single_label_chains():
     sparse = parse_grammar("B -> B A | A B |\nA -> s\n")
     chain = gen_string(3, "s")
     dense_table = fixpoint_relations(dense, chain)
-    assert oracle_eval(dense_table, 0, sym("A")) == {1, 2, 3}
-    assert oracle_eval(dense_table, 0, sym("A")) == _brute_answers(
+    assert oracle_eval(dense_table, 0, "A") == {1, 2, 3}
+    assert oracle_eval(dense_table, 0, "A") == _brute_answers(
         chain, 0, lambda t: len(t) >= 1 and set(t) == {"s"}, 3
     )
     sparse_table = fixpoint_relations(sparse, chain)
-    assert oracle_eval(sparse_table, 0, sym("B")) == {0, 1, 2, 3}
+    assert oracle_eval(sparse_table, 0, "B") == {0, 1, 2, 3}
 
     ring = gen_cycle(3, "s")
     ring_table = fixpoint_relations(dense, ring)
-    assert oracle_eval(ring_table, 0, sym("A")) == {0, 1, 2}
-    assert oracle_eval(ring_table, 0, sym("A")) == _brute_answers(
+    assert oracle_eval(ring_table, 0, "A") == {0, 1, 2}
+    assert oracle_eval(ring_table, 0, "A") == _brute_answers(
         ring, 0, lambda t: len(t) >= 1 and set(t) == {"s"}, 3
     )
 
@@ -104,7 +103,7 @@ def test_single_label_chains():
 def test_oracle_eval_wants_a_nonterminal(nesting_grammar, loop_graph):
     table = fixpoint_relations(nesting_grammar, loop_graph)
     with pytest.raises(UnknownNonterminal):
-        oracle_eval(table, 0, sym("a"))
+        oracle_eval(table, 0, "a")
 
 
 def test_size_guard_trips():
@@ -137,7 +136,7 @@ def test_reachable_via_prefix_walks():
     grammar = parse_grammar("S -> a S b\nS ->\n")
     graph = gen_ablist(2)
     table = fixpoint_relations(grammar, graph)
-    a, b, S = sym("a"), sym("b"), sym("S")
+    a, b, S = "a", "b", "S"
     assert reachable_via(table, 0, ()) == {0}
     assert reachable_via(table, 0, (a,)) == {1}
     assert reachable_via(table, 0, (a, S)) == {1, 3}

@@ -26,7 +26,6 @@ from cfpq import (
     reachable_via,
     results_tsv,
     serialize_grammar,
-    sym,
     to_tsv,
 )
 
@@ -63,8 +62,8 @@ def grammars(draw) -> Grammar:
     for nt in nts:
         for _ in range(draw(st.integers(1, 3))):
             rhs = draw(st.lists(st.sampled_from(alphabet), min_size=0, max_size=3))
-            productions.append(Production(sym(nt), tuple(sym(s) for s in rhs)))
-    return Grammar(productions, start=sym(nts[0]))
+            productions.append(Production(nt, tuple(rhs)))
+    return Grammar(productions, start=nts[0])
 
 
 @st.composite
@@ -85,7 +84,7 @@ def graphs_with_edges(draw) -> tuple[DataGraph, list[tuple[int, str, int]]]:
         )
     )
     for s, label, t in edges:
-        g.add_edge(s, sym(label), t)
+        g.add_edge(s, label, t)
     return g, edges
 
 
@@ -218,12 +217,12 @@ def test_every_step_keeps_each_delta_in_its_sets_container(grammar, graph, seed)
 @given(graphs_with_edges())
 def test_successor_index_is_consistent(drawn):
     graph, edges = drawn
-    expected = {(s, sym(label), t) for s, label, t in edges}
+    expected = {(s, label, t) for s, label, t in edges}
     assert graph.triples == expected
     assert graph.edge_count == len(expected)
     assert graph.labels == {label for _, label, _ in expected}
     for v in graph.vertices():
-        for label in map(sym, TERMINAL_POOL):
+        for label in TERMINAL_POOL:
             assert graph.successors(v, label) == sorted({t for s, l, t in expected if s == v and l == label})
             for t in graph.vertices():
                 assert graph.has_edge(v, label, t) == ((v, label, t) in expected)
@@ -233,7 +232,7 @@ def _results_tsv_by_rows(result) -> str:
     """Reference rendering: one (source, nonterminal, target) name tuple per row, all rows sorted."""
     graph = result.graph
     rows = sorted(
-        (graph.vertex_name(vertex), nonterminal.text, graph.vertex_name(target))
+        (graph.vertex_name(vertex), nonterminal, graph.vertex_name(target))
         for (vertex, nonterminal), targets in result.answers.items()
         for target in targets
     )
@@ -260,7 +259,7 @@ def named_hierarchies(draw) -> DataGraph:
         )
     )
     for s, label, t in edges:
-        g.add_edge(s, sym(label), t)
+        g.add_edge(s, label, t)
     return g
 
 
@@ -275,7 +274,7 @@ def _check_results_tsv_against_the_row_sort(graph, query):
 @settings(max_examples=60, deadline=None)
 @given(named_hierarchies(), st.data())
 def test_results_tsv_matches_the_row_sort_reference(graph, data):
-    pairs = [(v, nt) for v in graph.vertices() for nt in (sym("S"), sym("B"))]
+    pairs = [(v, nt) for v in graph.vertices() for nt in ("S", "B")]
     query = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
     _check_results_tsv_against_the_row_sort(graph, query)
 
@@ -284,11 +283,11 @@ def test_results_tsv_of_a_one_vertex_graph():
     # A mask group's names are picked in name order by an itemgetter over
     # every vertex, which returns a bare item, not a tuple, for one vertex.
     graph = DataGraph()
-    graph.add_edge(graph.intern("x"), sym("subClassOf"), graph.intern("x"))
-    graph.add_edge(0, sym("subClassOf^-1"), 0)
-    _check_results_tsv_against_the_row_sort(graph, [(0, sym("S")), (0, sym("B"))])
+    graph.add_edge(graph.intern("x"), "subClassOf", graph.intern("x"))
+    graph.add_edge(0, "subClassOf^-1", 0)
+    _check_results_tsv_against_the_row_sort(graph, [(0, "S"), (0, "B")])
     with _dict_limit("masks"):
-        assert results_tsv(evaluate(preset("sc"), graph, [(0, sym("S"))])) == "x\tS\tx\n"
+        assert results_tsv(evaluate(preset("sc"), graph, [(0, "S")])) == "x\tS\tx\n"
 
 
 @settings(max_examples=80, deadline=None)
@@ -320,7 +319,7 @@ def test_reference_passes_are_monotone(grammar, graph):
 
 def _barabasi_by_bisection(n, k, seed, labels):
     """Reference generator: bisect a fresh cumulative degree list per edge."""
-    labs = [sym(label) for label in labels]
+    labs = list(labels)
     rng = random.Random(seed)
     g = DataGraph()
     for i in range(n):
