@@ -8,9 +8,12 @@
 
 Results are TSV rows ``source<TAB>nonterminal<TAB>target`` sorted
 ascending; run statistics go to stderr as ``key=value`` lines so stdout
-stays pipeable. ``check`` exits 0 iff all three worklist disciplines
-agree with the reference evaluator, ``bench`` emits one table row per
-(grammar, graph) combination and keeps sweeping past failing rows.
+stays pipeable. Without ``--query`` every vertex is queried under the
+grammar's start symbol. ``eval --discipline`` picks the worklist order.
+``check`` exits 0 iff all three worklist disciplines agree with the
+reference evaluator, whose budget of 100 000 triples is fixed. ``bench``
+runs fifo, emits one table row per (grammar, graph) combination and
+keeps sweeping past failing rows.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .engine import Stats, evaluate, results_tsv_groups
 from .errors import CfpqError
 from .grammar import Grammar, parse_grammar, split_lines
 from .graph import GENERATORS, DataGraph, _add_inverses, load_ntriples, load_triples, to_tsv
-from .oracle import DEFAULT_MAX_TRIPLES, fixpoint_relations, oracle_eval
+from .oracle import fixpoint_relations
 
 
 def _read_text(path: str) -> str:
@@ -124,17 +127,9 @@ def _parse_query_file(text: str, graph: DataGraph, grammar: Grammar) -> list[tup
 
 
 def _query_from_args(args: argparse.Namespace, grammar: Grammar, graph: DataGraph) -> list[tuple[int, str]]:
-    if args.query is not None and args.all_from is not None:
-        raise CfpqError("--query and --all-from are mutually exclusive")
     if args.query is not None:
         return _parse_query_file(_read_text(args.query), graph, grammar)
-    if args.all_from is not None:
-        nonterminal = args.all_from
-        if nonterminal not in grammar.nonterminals:
-            raise CfpqError(f"--all-from: {args.all_from!r} is not a nonterminal of the grammar")
-    else:
-        nonterminal = grammar.start
-    return [(vertex, nonterminal) for vertex in graph.vertices()]
+    return [(vertex, grammar.start) for vertex in graph.vertices()]
 
 
 def _write_output(chunks: Iterable[str], out: str | None) -> None:
@@ -197,8 +192,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     grammar = _load_grammar(args.grammar)
     graph = _graph_from_args(args)
     query = _query_from_args(args, grammar, graph)
-    table = fixpoint_relations(grammar, graph, max_triples=args.max_triples)
-    expected = {(v, nt): oracle_eval(table, v, nt) for v, nt in query}
+    table = fixpoint_relations(grammar, graph)
+    # One scan of each queried relation, rather than one per query pair.
+    expected: dict[tuple[int, str], set[int]] = {pair: set() for pair in query}
+    for nonterminal in {nt for _, nt in query}:
+        for source, target in table.relations[nonterminal]:
+            targets = expected.get((source, nonterminal))
+            if targets is not None:
+                targets.add(target)
     for discipline in ("fifo", "lifo", "random"):
         answers = evaluate(grammar, graph, query, discipline, args.seed).answers
         if answers != expected:
@@ -242,7 +243,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 stats = None
                 for _ in range(args.reps):
                     started = time.perf_counter()
-                    result = evaluate(grammar, graph, query, args.discipline, args.seed)
+                    result = evaluate(grammar, graph, query)
                     times.append((time.perf_counter() - started) * 1000.0)
                     total = result.answer_count
                     if first_total is None:
@@ -285,17 +286,12 @@ def _build_parser() -> argparse.ArgumentParser:
     inputs.add_argument("--grammar", required=True, help="grammar file (comma-separated list for bench)")
     inputs.add_argument("--graph", help="triples file, TSV or .nt (comma-separated list for bench)")
     inputs.add_argument("--gen", choices=sorted(GENERATORS), help="generate the graph instead of loading one")
-    inputs.add_argument("--discipline", choices=("fifo", "lifo", "random"), default="fifo")
 
     query = argparse.ArgumentParser(add_help=False, parents=[inputs])
-    query.add_argument("--query", help="query pairs file: vertex<TAB>nonterminal per line")
-    query.add_argument(
-        "--all-from",
-        metavar="NT",
-        help="query every vertex under this nonterminal (default: grammar start)",
-    )
+    query.add_argument("--query", help="query pairs file: vertex<TAB>nonterminal per line (default: all vertices x start)")
 
     p_eval = sub.add_parser("eval", parents=[query], help="evaluate a query, write result TSV")
+    p_eval.add_argument("--discipline", choices=("fifo", "lifo", "random"), default="fifo")
     p_eval.set_defaults(func=cmd_eval)
 
     p_gen = sub.add_parser("gen", parents=[generator], help="emit a synthetic graph as TSV")
@@ -303,12 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen, graph=None)
 
     p_check = sub.add_parser("check", parents=[query], help="engine vs reference evaluator under all disciplines")
-    p_check.add_argument(
-        "--max-triples",
-        type=int,
-        default=DEFAULT_MAX_TRIPLES,
-        help=f"size budget of the reference evaluator (default {DEFAULT_MAX_TRIPLES})",
-    )
     p_check.set_defaults(func=cmd_check)
 
     p_bench = sub.add_parser("bench", parents=[inputs], help="sweep grammars x graphs, one table row each")

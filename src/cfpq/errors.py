@@ -13,10 +13,6 @@ class MalformedRule(CfpqError):
     """A grammar line does not match ``LHS -> symbols...``."""
 
 
-class InvalidGrammar(CfpqError):
-    """The start symbol is not the left-hand side of any production."""
-
-
 class UnknownNonterminal(CfpqError):
     """A symbol was used where a nonterminal of the grammar was required."""
 

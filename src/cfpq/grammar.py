@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import EmptyGrammar, InvalidGrammar, MalformedRule, UnknownNonterminal
+from .errors import EmptyGrammar, MalformedRule, UnknownNonterminal
 
 _ARROW = "->"
 
@@ -57,34 +57,29 @@ class Grammar:
 
     ``nonterminals`` are the left-hand sides of the productions and
     ``terminals`` every other right-hand-side symbol, so the two are
-    disjoint. ``start`` defaults to the first production's left-hand
-    side; a start symbol that is not a nonterminal raises InvalidGrammar.
+    disjoint. ``start`` is the first production's left-hand side.
     """
 
     __slots__ = ("productions", "start", "nonterminals", "terminals", "max_rhs_len", "_by_lhs", "_hash")
 
-    def __init__(self, productions: Iterable[Production], start: str | None = None):
+    def __init__(self, productions: Iterable[Production]):
         prods = tuple(productions)
         if not prods:
             raise EmptyGrammar("a grammar needs at least one production")
         nts = frozenset(p.lhs for p in prods)
-        if start is None:
-            start = prods[0].lhs
-        if start not in nts:
-            raise InvalidGrammar(f"start symbol {start!r} is not a nonterminal")
 
         by_lhs: dict[str, list[Production]] = {}
         for p in prods:
             by_lhs.setdefault(p.lhs, []).append(p)
 
         self.productions = prods
-        self.start = start
+        self.start = prods[0].lhs
         self.nonterminals = nts
         self.terminals = frozenset(s for p in prods for s in p.rhs if s not in nts)
         self.max_rhs_len = max(len(p.rhs) for p in prods)
         self._by_lhs = {a: tuple(ps) for a, ps in by_lhs.items()}
         # Hashed once: the engine looks its per-grammar tables up by grammar.
-        self._hash = hash((prods, start))
+        self._hash = hash(prods)
 
     def productions_of(self, a: str) -> tuple[Production, ...]:
         """All productions with left-hand side ``a``, in source order."""
@@ -95,7 +90,7 @@ class Grammar:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grammar):
             return NotImplemented
-        return self.productions == other.productions and self.start == other.start
+        return self.productions == other.productions
 
     def __hash__(self) -> int:
         return self._hash

@@ -64,13 +64,11 @@ def fixpoint_relations(
     after each pass; handy for asserting monotone convergence. Raises
     SizeGuardExceeded when the graph is over the triple budget.
     """
-    triples = graph.triples
-    if len(triples) > max_triples:
-        raise SizeGuardExceeded(
-            f"input has {len(triples)} triples, over the budget of {max_triples}"
-        )
+    edge_count = graph.edge_count
+    if edge_count > max_triples:
+        raise SizeGuardExceeded(f"input has {edge_count} triples, over the budget of {max_triples}")
     relations: dict[str, Relation] = {symbol: set() for symbol in grammar.terminals}
-    for source, label, target in triples:
+    for source, label, target in graph.triples:
         if label in relations:
             relations[label].add((source, target))
     for nonterminal in grammar.nonterminals:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from cfpq import DataGraph, Grammar, load_triples, parse_grammar
@@ -8,6 +10,13 @@ from cfpq import DataGraph, Grammar, load_triples, parse_grammar
 # with an a-cycle between vertices 1 and 3 and a b-tail out to 4.
 NESTING_GRAMMAR_TEXT = "S -> a S b\nS ->\n"
 LOOP_GRAPH_TSV = "1\ta\t2\n1\ta\t3\n2\tb\t3\n3\ta\t1\n3\tb\t4\n"
+
+GRAMMARS_DIR = Path(__file__).resolve().parent.parent / "grammars"
+
+
+def bundled_grammar(name: str) -> Grammar:
+    """The grammar in the bundled file ``grammars/<name>.cfg``."""
+    return parse_grammar((GRAMMARS_DIR / f"{name}.cfg").read_text(encoding="utf-8"))
 
 
 @pytest.fixture

@@ -26,10 +26,11 @@ from cfpq import (
     load_triples,
     oracle_eval,
     parse_grammar,
-    preset,
     results_tsv,
     with_inverses,
 )
+
+from conftest import bundled_grammar
 
 EXAMPLE_GRAMMAR = "S -> a S b\nS ->\n"
 EXAMPLE_GRAPH = "1\ta\t2\n1\ta\t3\n2\tb\t3\n3\ta\t1\n3\tb\t4\n"
@@ -92,11 +93,11 @@ def _random_instances():
     so they are non-trivial on the {a,b,c,d}-labeled random graphs.
     """
     grammars = [
-        preset("ab_ambiguous"),
-        preset("ab_unambiguous"),
+        bundled_grammar("ab_ambiguous"),
+        bundled_grammar("ab_unambiguous"),
         parse_grammar("A -> A A | a\n"),
         parse_grammar("B -> B A | A B |\nA -> a\n"),
-        preset("kjp_an_bm_cm_dn"),
+        bundled_grammar("kjp_an_bm_cm_dn"),
     ]
     combos = [(n, k) for n in (20, 40, 60) for k in (1, 3, 5)]
     for seed in range(100):
@@ -111,7 +112,7 @@ def _ablist_instances():
     for n in (10, 50, 100):
         graph = gen_ablist(n)
         for name in ("ab_ambiguous", "ab_unambiguous"):
-            grammar = preset(name)
+            grammar = bundled_grammar(name)
             yield grammar, graph, [(v, grammar.start) for v in graph.vertices()]
 
 
@@ -173,8 +174,8 @@ def test_criterion_4_ambiguity_does_not_change_answers():
     details = []
     for n in (10, 50, 100):
         graph = gen_ablist(n)
-        ambiguous = preset("ab_ambiguous")
-        unambiguous = preset("ab_unambiguous")
+        ambiguous = bundled_grammar("ab_ambiguous")
+        unambiguous = bundled_grammar("ab_unambiguous")
         query = [(v, "S") for v in graph.vertices()]
         res_a = _checked_run(ambiguous, graph, query)
         res_u = _checked_run(unambiguous, graph, query)
@@ -237,8 +238,8 @@ def test_criterion_6_structure_counters_stay_in_bounds():
 
 def test_criterion_7_chain_answers_match_closed_forms():
     started = time.perf_counter()
-    dense = preset("hlg_dense")
-    sparse = preset("hlg_sparse")
+    dense = bundled_grammar("hlg_dense")
+    sparse = bundled_grammar("hlg_sparse")
     ok = True
     for n in (1, 5, 50):
         graph = gen_string(n, "s")
@@ -268,7 +269,7 @@ def test_criterion_8_ontology_result_counts():
         print("criterion 8: SKIP - ontology files not present")
         pytest.skip(f"no ontology files under {root}")
     started = time.perf_counter()
-    grammar = preset("sc_t")
+    grammar = bundled_grammar("sc_t")
     ok = True
     details = []
     for name, path in sorted(available.items()):

@@ -11,6 +11,8 @@ import cfpq
 from cfpq import DataGraph, fixpoint_relations, gen_ablist, oracle_eval, parse_grammar
 from cfpq.cli import _parse_query_file, main
 
+from conftest import GRAMMARS_DIR
+
 GRAMMAR = "S -> a S b\nS ->\n"
 GRAPH = "1\ta\t2\n1\ta\t3\n2\tb\t3\n3\ta\t1\n3\tb\t4\n"
 QUERY = "1\tS\n3\tS\n"
@@ -86,7 +88,7 @@ def test_eval_all_vertices_by_default(workdir, capsys):
     ids=["sparse", "masks"],
 )
 def test_eval_counts_one_result_per_output_line(grammar, options, tmp_path, capsys):
-    args = ["--grammar", str(Path(__file__).resolve().parent.parent / "grammars" / grammar), *options]
+    args = ["--grammar", str(GRAMMARS_DIR / grammar), *options]
     out = tmp_path / "results.tsv"
     assert main(["eval", *args, "--gen", "barabasi", "--seed", "1"]) == 0
     captured = capsys.readouterr()
@@ -94,15 +96,6 @@ def test_eval_counts_one_result_per_output_line(grammar, options, tmp_path, caps
     assert out.read_text() == captured.out
     assert captured.out.endswith("\n")
     assert _stderr_stats(capsys)["results"] == str(captured.out.count("\n"))
-
-
-def test_eval_all_from_rejects_non_nonterminal(workdir, capsys):
-    code = main(
-        ["eval", "--grammar", str(workdir / "g.cfg"), "--graph", str(workdir / "d.tsv"),
-         "--all-from", "Z"]
-    )
-    assert code == 2
-    assert "not a nonterminal" in capsys.readouterr().err
 
 
 def test_eval_lists_all_query_offenders(workdir, capsys):
@@ -252,12 +245,14 @@ def test_check_agrees_on_the_example(workdir, capsys):
 def test_check_reports_the_first_mismatch(workdir, capsys, monkeypatch):
     import cfpq.cli as cli_module
 
-    real_oracle_eval = cli_module.oracle_eval
+    real_fixpoint_relations = cli_module.fixpoint_relations
 
-    def corrupted(table, vertex, nonterminal):
-        return real_oracle_eval(table, vertex, nonterminal) ^ {0}
+    def corrupted(grammar, graph):
+        table = real_fixpoint_relations(grammar, graph)
+        table.relations[grammar.start] ^= {(0, 0)}
+        return table
 
-    monkeypatch.setattr(cli_module, "oracle_eval", corrupted)
+    monkeypatch.setattr(cli_module, "fixpoint_relations", corrupted)
     code = main(["check", "--grammar", str(workdir / "g.cfg"), "--graph", str(workdir / "d.tsv")])
     assert code == 1
     out = capsys.readouterr().out
@@ -302,12 +297,31 @@ def test_eval_on_an_empty_graph(workdir, capsys):
 
 
 def test_check_respects_the_size_budget(workdir, capsys):
+    # 317 * 317 = 100 489 triples, just over the reference evaluator's budget
     code = main(
-        ["check", "--grammar", str(workdir / "g.cfg"), "--graph", str(workdir / "d.tsv"),
-         "--max-triples", "3"]
+        ["check", "--grammar", str(workdir / "g.cfg"), "--gen", "complete", "--n", "317", "--labels", "a"]
     )
     assert code == 2
     assert "over the budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("check", ["--discipline", "lifo"]),
+        ("bench", ["--discipline", "random"]),
+        ("eval", ["--all-from", "S"]),
+        ("check", ["--max-triples", "3"]),
+    ],
+    ids=["check-discipline", "bench-discipline", "eval-all-from", "check-max-triples"],
+)
+def test_options_a_command_does_not_take_are_rejected(workdir, capsys, command, option):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--grammar", str(workdir / "g.cfg"), "--graph", str(workdir / "d.tsv"), *option])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(option)}" in captured.err
 
 
 def test_bench_sweeps_and_is_stable(workdir, capsys):

@@ -22,11 +22,12 @@ from cfpq import (
     load_triples,
     oracle_eval,
     parse_grammar,
-    preset,
     render_item,
     results_tsv,
     with_inverses,
 )
+
+from conftest import bundled_grammar
 
 # Frozen fixpoint of the worked example under the query {(1,S),(3,S)}:
 # six items, all position sets fully processed.
@@ -154,7 +155,7 @@ def test_the_run_is_its_own_result(nesting_grammar, loop_graph):
     _assert_the_run_is_its_own_result(nesting_grammar, loop_graph, _example_query(loop_graph))
     # a hierarchy whose sets pass the dict limit, so masks are read too
     graph = with_inverses(gen_barabasi(200, 3, seed=1, labels=("subClassOf", "type")))
-    grammar = preset("sc_t")
+    grammar = bundled_grammar("sc_t")
     _assert_the_run_is_its_own_result(grammar, graph, [(v, grammar.start) for v in graph.vertices()])
 
 
@@ -328,7 +329,7 @@ def test_pops_match_insertions_at_fixpoint(nesting_grammar, loop_graph):
 
 def test_rederiving_an_edge_changes_nothing():
     # the ambiguous grammar derives many parses of the same window
-    grammar = preset("ab_ambiguous")
+    grammar = bundled_grammar("ab_ambiguous")
     graph = load_triples("1\ta\t2\n1\ta\t3\n2\tb\t3\n3\ta\t1\n3\tb\t4\n")
     query = [(v, "S") for v in graph.vertices()]
     result = evaluate(grammar, graph, query)
@@ -384,7 +385,7 @@ def test_answers_are_successor_lookups(nesting_grammar, loop_graph):
 
 
 def test_answers_are_built_from_the_store():
-    grammar = preset("sc_t")
+    grammar = bundled_grammar("sc_t")
     # sets of this hierarchy pass the dict limit, so answers come from masks too
     graph = with_inverses(gen_barabasi(200, 3, seed=1, labels=("subClassOf", "type")))
     query = [(v, grammar.start) for v in graph.vertices()]
@@ -400,7 +401,7 @@ def test_answers_are_built_from_the_store():
 
 
 def test_back_to_back_queries_on_one_loaded_graph():
-    grammar = preset("ab_unambiguous")
+    grammar = bundled_grammar("ab_unambiguous")
 
     def load():
         return gen_barabasi(60, 3, seed=1, labels=("a", "b"))
@@ -440,9 +441,9 @@ def test_worklist_disciplines():
 
 
 def test_run_state_is_not_tracked_by_the_garbage_collector():
-    sparse = (preset("ab_ambiguous"), gen_barabasi(40, 3, seed=2, labels=("a", "b")))
+    sparse = (bundled_grammar("ab_ambiguous"), gen_barabasi(40, 3, seed=2, labels=("a", "b")))
     # sets of this hierarchy pass the dict limit, so the run holds masks too
-    dense = (preset("sc_t"), with_inverses(gen_barabasi(200, 3, seed=1, labels=("subClassOf", "type"))))
+    dense = (bundled_grammar("sc_t"), with_inverses(gen_barabasi(200, 3, seed=1, labels=("subClassOf", "type"))))
     for grammar, graph in (sparse, dense):
         ev = Evaluation(grammar, graph, [(v, grammar.start) for v in graph.vertices()])
         for _ in range(60):

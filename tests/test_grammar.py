@@ -1,23 +1,17 @@
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from cfpq import (
     EmptyGrammar,
     Grammar,
-    InvalidGrammar,
     MalformedRule,
-    Production,
     UnknownNonterminal,
     parse_grammar,
-    preset,
-    preset_names,
     serialize_grammar,
 )
 
-GRAMMARS_DIR = Path(__file__).resolve().parent.parent / "grammars"
+from conftest import GRAMMARS_DIR, bundled_grammar
 
 
 def test_parse_nesting_grammar(nesting_grammar):
@@ -95,8 +89,10 @@ def test_productions_of_unknown_symbol(nesting_grammar):
 
 
 def test_rhs_symbols_partition_into_terminals_and_nonterminals():
-    for name in preset_names():
-        g = preset(name)
+    paths = sorted(GRAMMARS_DIR.glob("*.cfg"))
+    assert paths
+    for path in paths:
+        g = bundled_grammar(path.stem)
         for p in g.productions:
             for s in p.rhs:
                 assert (s in g.nonterminals) != (s in g.terminals)
@@ -113,26 +109,13 @@ def test_serialize_writes_epsilon_as_bare_arrow():
     assert text == "S -> a S b\nS ->\n"
 
 
-def test_start_must_be_a_nonterminal():
-    p = Production("S", ("a",))
-    with pytest.raises(InvalidGrammar):
-        Grammar([p], start="a")
-
-
 def test_grammar_requires_at_least_one_production():
     with pytest.raises(EmptyGrammar):
         Grammar([])
 
 
-def test_presets_match_bundled_files():
-    assert preset_names() == sorted(p.stem for p in GRAMMARS_DIR.glob("*.cfg"))
-    for name in preset_names():
-        from_file = parse_grammar((GRAMMARS_DIR / f"{name}.cfg").read_text())
-        assert from_file == preset(name), name
-
-
 def test_inverse_label_spellings_are_plain_terminals():
-    g = preset("sc_t")
+    g = bundled_grammar("sc_t")
     assert "subClassOf^-1" in g.terminals
     assert "type^-1" in g.terminals
     assert g.max_rhs_len == 3

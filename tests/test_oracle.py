@@ -112,6 +112,15 @@ def test_size_guard_trips():
         fixpoint_relations(grammar, gen_complete(4, ["a"]), max_triples=10)
 
 
+def test_size_guard_refuses_before_building_the_triples(monkeypatch):
+    def unbuilt(graph):
+        raise AssertionError("the triples of an over-budget graph were built")
+
+    monkeypatch.setattr(DataGraph, "triples", property(unbuilt))
+    with pytest.raises(SizeGuardExceeded, match="input has 16 triples, over the budget of 10"):
+        fixpoint_relations(parse_grammar("A -> a\n"), gen_complete(4, ["a"]), max_triples=10)
+
+
 def test_passes_grow_monotonically(nesting_grammar, loop_graph):
     snapshots = []
     table = fixpoint_relations(nesting_grammar, loop_graph, on_pass=snapshots.append)

@@ -22,12 +22,13 @@ from cfpq import (
     gen_barabasi,
     oracle_eval,
     parse_grammar,
-    preset,
     reachable_via,
     results_tsv,
     serialize_grammar,
     to_tsv,
 )
+
+from conftest import bundled_grammar
 
 # The engine's dict limit, swept: every set a mask, every set a dict, sets
 # of two or more members as masks (both containers meet), and the default,
@@ -63,7 +64,7 @@ def grammars(draw) -> Grammar:
         for _ in range(draw(st.integers(1, 3))):
             rhs = draw(st.lists(st.sampled_from(alphabet), min_size=0, max_size=3))
             productions.append(Production(nt, tuple(rhs)))
-    return Grammar(productions, start=nts[0])
+    return Grammar(productions)
 
 
 @st.composite
@@ -264,7 +265,7 @@ def named_hierarchies(draw) -> DataGraph:
 
 
 def _check_results_tsv_against_the_row_sort(graph, query):
-    grammar = preset("sc")  # S and B: a source's S and B answers are two groups
+    grammar = bundled_grammar("sc")  # S and B: a source's S and B answers are two groups
     for limit, discipline in product(DICT_LIMITS, ("fifo", "lifo", "random")):
         with _dict_limit(limit):
             result = evaluate(grammar, graph, query, discipline)
@@ -287,7 +288,7 @@ def test_results_tsv_of_a_one_vertex_graph():
     graph.add_edge(0, "subClassOf^-1", 0)
     _check_results_tsv_against_the_row_sort(graph, [(0, "S"), (0, "B")])
     with _dict_limit("masks"):
-        assert results_tsv(evaluate(preset("sc"), graph, [(0, "S")])) == "x\tS\tx\n"
+        assert results_tsv(evaluate(bundled_grammar("sc"), graph, [(0, "S")])) == "x\tS\tx\n"
 
 
 @settings(max_examples=80, deadline=None)
