@@ -69,7 +69,7 @@ def _graph_sources(args: argparse.Namespace) -> list[tuple[str, Callable[[], Dat
     size in the --n list, with a loader for it that honours --add-inverses.
 
     A generator gets the options its signature names, out of n, k,
-    seed, labels and label; label is the first of --labels, or s.
+    seed, labels and label; label is the first of --labels.
     """
     if (args.graph is None) == (args.gen is None):
         raise CfpqError("exactly one of --graph or --gen is required")
@@ -81,12 +81,14 @@ def _graph_sources(args: argparse.Namespace) -> list[tuple[str, Callable[[], Dat
     else:
         generator = GENERATORS[args.gen]
         labels = _split(args.labels)
+        if not labels:
+            raise CfpqError("--labels: at least one label is required")
         for n_text in _split(args.n):
             try:
                 n = int(n_text)
             except ValueError:
                 raise CfpqError(f"--n: not an integer: {n_text!r}") from None
-            options = {"n": n, "k": args.k, "seed": args.seed, "labels": labels, "label": labels[0] if labels else "s"}
+            options = {"n": n, "k": args.k, "seed": args.seed, "labels": labels, "label": labels[0]}
             params = {name: options[name] for name in inspect.signature(generator).parameters}
             shown = (f"{name}={','.join(value) if name == 'labels' else value}" for name, value in params.items())
             sources.append((f"{args.gen}({','.join(shown)})", partial(generator, **params)))
@@ -279,7 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     generator.add_argument("--k", type=int, default=1, help="attachment degree for barabasi (default 1)")
     generator.add_argument("--labels", default="a,b,c,d", help="generator labels, comma separated")
     generator.add_argument("--add-inverses", action="store_true", help="also materialize (o, p^-1, s) edges")
-    generator.add_argument("--seed", type=int, default=0, help="seed for generators and the random discipline")
     generator.add_argument("--out", help="output file (default: stdout)")
 
     inputs = argparse.ArgumentParser(add_help=False, parents=[generator])
@@ -304,6 +305,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", parents=[inputs], help="sweep grammars x graphs, one table row each")
     p_bench.add_argument("--reps", type=int, default=1, help="repetitions per row, times averaged")
     p_bench.set_defaults(func=cmd_bench)
+
+    for command, seed_help in (
+        (p_eval, "seed for the generator and the random discipline (default 0)"),
+        (p_gen, "seed for the generator (default 0)"),
+        (p_check, "seed for the generator and for check's random-discipline run (default 0)"),
+        (p_bench, "seed for the generator (default 0); bench runs fifo, which takes no seed"),
+    ):
+        command.add_argument("--seed", type=int, default=0, help=seed_help)
 
     return parser
 

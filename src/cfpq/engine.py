@@ -36,19 +36,19 @@ changes the run, not the fixpoint.
 
 Each vertex set of the run (position set, pending delta, derived
 targets) picks its own container, as Roaring bitmaps do per chunk: a
-dict of int keys and None values, or an int bitmask. The limit is
-``max(32, vertex_count >> 6)`` members. A position set is a dict until
-it grows past the limit or a mask is inserted into it, and its delta
-always has its container. A derived target set starts in the container
-of the first delta that reaches it, and a dict one becomes a mask only
-when it grows past the limit: a mask delta whose new part keeps it
-within the limit joins it as dict keys. A mask never turns back into a
-dict. Sparse sets stay small, and on a dense run a union is one int OR,
-as in the Boolean-matrix formulation of CFPQ. One step function serves
-both containers: a dict delta is walked vertex by vertex, a mask delta's
-members are enumerated in C and its terminal step ORs per-source
-successor masks, built once per label and source for the evaluation.
-What a step passes on is a mask if its delta is one or it read one.
+dict of int keys and None values, or an int bitmask. One rule, in
+``_join``, serves every set: a union is a mask if either side is one or
+it has more than ``max(32, vertex_count >> 6)`` members, and a dict
+otherwise, so a mask never turns back into a dict. A delta has its
+position set's container, and a derived target set starts as the first
+delta that reaches it. Sparse sets stay small, and on a dense run a
+union is one int OR, as in the Boolean-matrix formulation of CFPQ. One
+step function serves both containers: a dict delta is walked vertex by
+vertex, a mask delta's members are enumerated in C and its terminal
+step ORs per-source successor masks, built once per label and source
+for the evaluation. A step passes on what it read, the masks as one
+mask and the rest as one set, and the join into the next set picks
+that set's container.
 
 The run's state is laid out for the cyclic garbage collector to skip:
 slots and (vertex, nonterminal) pairs are ints, position sets, deltas,
@@ -145,6 +145,37 @@ def _vertices(vertex_set: VertexSet | None) -> Iterable[int]:
     if vertex_set.__class__ is int:
         return _members(vertex_set)
     return vertex_set or ()
+
+
+def _join(seen: VertexSet | None, new: set[int] | int, limit: int) -> tuple[VertexSet, set[int] | int]:
+    """The union of ``seen`` (None for no set yet) and ``new``, and the part of ``new`` not in ``seen``.
+
+    The container rule of every vertex set of the run: the union is an
+    int mask if either side is one or it has more than ``limit`` members,
+    and a dict otherwise, so a mask never turns back into a dict. The
+    fresh part is a mask exactly when the union is, and a set otherwise.
+    A dict ``seen`` grows in place, key by key; ``new`` is only read,
+    though it may come back as the fresh part.
+    """
+    if seen.__class__ is int or new.__class__ is int:
+        if new.__class__ is not int:
+            new = _mask_of(new)
+        if seen is None:
+            return new, new
+        if seen.__class__ is not int:
+            seen = _mask_of(seen)
+        return seen | new, new & ~seen
+    if seen is None:
+        seen, fresh = {}, new
+    else:
+        # set.difference looks each new vertex up in ``seen``;
+        # ``new - seen.keys()`` would iterate all of ``seen``.
+        fresh = new.difference(seen)
+    for vertex in fresh:
+        seen[vertex] = None
+    if len(seen) > limit:
+        return _mask_of(seen), _mask_of(fresh)
+    return seen, fresh
 
 
 class TraceItem:
@@ -298,13 +329,11 @@ class Evaluation:
     * ``worklist``: the slots whose delta is non-empty.
 
     Each position set, delta and target set is a dict of None values or
-    an int mask (bit v set for vertex v). A position set is a dict until
-    it has more than ``_dict_limit(vertex_count)`` members or a mask is
-    inserted into it, and its delta turns with it, so a slot's delta
-    always has the container of its position set. A target set starts
-    in the container of the first delta that reaches it, and a dict one
-    turns into a mask only once it has more than the limit. A mask never
-    turns back into a dict during a run.
+    an int mask (bit v set for vertex v), by ``_join``'s one rule: a
+    union is a mask if either side is one or it has more than
+    ``_dict_limit(vertex_count)`` members. A slot's delta always has the
+    container of its position set, a target set starts as the first
+    delta that reaches it, and a mask never turns back into a dict.
     """
 
     def __init__(
@@ -360,6 +389,7 @@ class Evaluation:
         self.waiters[key] = {}
         rules = self._rules[number]
         blank = [None] * self._width
+        # _join's rule for a set of one member.
         as_mask = self._limit < 1
         for rule in rules:
             slot = len(self._sets)
@@ -372,66 +402,45 @@ class Evaluation:
         self.stats.items_created += len(rules)
         self.stats.insertions += len(rules)
 
-    def _insert(self, slot: int, new: set[int]) -> None:
+    def _insert(self, slot: int, new: set[int] | int) -> None:
         """Add ``new`` to a position set; its fresh part joins the slot's delta.
 
         ``new`` is only read, never kept, so callers may pass a set they
-        go on using.
+        go on using. ``_join`` picks the position set's container, and the
+        delta takes the same one.
         """
-        seen = self._sets[slot]
-        if seen is None:
-            seen = self._sets[slot] = {}
-        elif seen.__class__ is int:
-            self._insert_mask(slot, _mask_of(new))
-            return
-        else:
-            new = new.difference(seen)
-            if not new:
-                return
-        # The fresh part becomes the slot's delta, or joins it, and is freed
-        # once processed. dict.fromkeys presizes it for a set, so deltas take
-        # memory blocks of another size than the position sets, which grow
-        # key by key at their own size; freed deltas then leave no holes
-        # among the position sets. Built alike, the two raised the peak RSS
-        # of an all-vertex a^n b^n run (n = 20 000) by about 6 MB.
-        fresh = dict.fromkeys(new)
-        for vertex in new:
-            seen[vertex] = None
-        self.stats.insertions += len(fresh)
-        delta = self._pending.get(slot)
-        if delta is None:
-            self._pending[slot] = delta = fresh
-            self.worklist.push(slot)
-        else:
-            delta.update(fresh)
-        if len(seen) > self._limit:
-            self._sets[slot] = _mask_of(seen)
-            self._pending[slot] = _mask_of(delta)
-
-    def _insert_mask(self, slot: int, new: int) -> None:
-        """``_insert`` of a mask: the position set and its delta become masks if they are not."""
-        seen = self._sets[slot]
+        self._sets[slot], fresh = _join(self._sets[slot], new, self._limit)
         pending = self._pending
-        if seen is None:
-            fresh = new
+        if fresh.__class__ is int:
+            delta = pending.get(slot)
+            if delta.__class__ is dict:
+                # The set has just turned into a mask, so its delta turns
+                # too, even when nothing in ``new`` was fresh.
+                delta = pending[slot] = _mask_of(delta)
+            if not fresh:
+                return
+            self.stats.insertions += fresh.bit_count()
+            if delta is not None:
+                pending[slot] = delta | fresh
+                return
         else:
-            if seen.__class__ is not int:
-                seen = _mask_of(seen)
-                delta = pending.get(slot)
-                if delta is not None:
-                    pending[slot] = _mask_of(delta)
-            fresh = new & ~seen
-            new |= seen
-        self._sets[slot] = new
-        if not fresh:
-            return
-        self.stats.insertions += fresh.bit_count()
-        delta = pending.get(slot)
-        if delta is None:
-            pending[slot] = fresh
-            self.worklist.push(slot)
-        else:
-            pending[slot] = delta | fresh
+            if not fresh:
+                return
+            self.stats.insertions += len(fresh)
+            # The fresh part becomes the slot's delta, or joins it, and is
+            # freed once processed. dict.fromkeys presizes it for a set, so
+            # deltas take memory blocks of another size than the position
+            # sets, which grow key by key at their own size; freed deltas
+            # then leave no holes among the position sets. Built alike, the
+            # two raised the peak RSS of an all-vertex a^n b^n run
+            # (n = 20 000) by about 6 MB.
+            fresh = dict.fromkeys(fresh)
+            delta = pending.get(slot)
+            if delta is not None:
+                delta.update(fresh)
+                return
+        pending[slot] = fresh
+        self.worklist.push(slot)
 
     def _process(self, slot: int, delta: VertexSet) -> None:
         """Process ``delta``, vertices of ``slot``'s set no step has seen yet.
@@ -480,48 +489,29 @@ class Evaluation:
                             else:
                                 out.update(targets)
                     waiting[slot + 1] = None
-            # A mask terminal step leaves ``out`` empty: skip _mask_of's call.
-            if mask or is_mask and out:
-                self._insert_mask(slot + 1, mask | _mask_of(out) if out else mask)
-            elif out:
+            # The mask goes in first: once the next set is a mask, the dict
+            # reads join it as one more mask rather than key by key.
+            if mask:
+                self._insert(slot + 1, mask)
+            if out:
                 self._insert(slot + 1, out)
         else:
             # Last set: the origin reaches these vertices along the whole
             # right-hand side, which derives new lhs-labeled edges.
             key = self._origins[index] * len(self._nonterminals) + lhs
+            new = delta if is_mask else set(delta)
             targets = self._derived.get(key)
             if targets is None:
+                # The first delta is handed over as the target set, not
+                # copied: a copy per derived pair costs time and peak RSS.
                 self._derived[key] = delta
-                new = delta if is_mask else set(delta)
-            elif targets.__class__ is int:
-                # A dict delta's new targets stay a set, so the waiters' dict
-                # sets stay dicts.
-                new = delta & ~targets if is_mask else {vertex for vertex in delta if not targets >> vertex & 1}
-                if not new:
-                    return
-                self._derived[key] = targets | (new if is_mask else _mask_of(new))
-            elif is_mask:
-                known = _mask_of(targets)
-                new = delta & ~known
-                if not new:
-                    return
-                if len(targets) + new.bit_count() > self._limit:
-                    self._derived[key] = known | new
-                else:
-                    targets.update(dict.fromkeys(_members(new)))
             else:
-                # set.difference looks each delta vertex up in ``targets``;
-                # ``delta.keys() - targets`` would iterate all of ``targets``.
-                new = set(delta).difference(targets)
+                self._derived[key], new = _join(targets, new, self._limit)
                 if not new:
                     return
-                targets.update(delta)
-                if len(targets) > self._limit:
-                    self._derived[key] = _mask_of(targets)
-            self.stats.edges_added += new.bit_count() if is_mask else len(new)
-            insert = self._insert_mask if is_mask else self._insert
+            self.stats.edges_added += new.bit_count() if new.__class__ is int else len(new)
             for waiting_slot in self.waiters[key]:
-                insert(waiting_slot, new)
+                self._insert(waiting_slot, new)
 
     def step(self) -> bool:
         """Process one pending slot's whole delta; False once the worklist is empty."""

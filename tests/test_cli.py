@@ -10,6 +10,7 @@ import pytest
 import cfpq
 from cfpq import DataGraph, fixpoint_relations, gen_ablist, oracle_eval, parse_grammar
 from cfpq.cli import _parse_query_file, main
+from cfpq.graph import GENERATORS
 
 from conftest import GRAMMARS_DIR
 
@@ -232,6 +233,15 @@ def test_gen_barabasi_deterministic(capsys):
 def test_gen_rejects_bad_params(capsys):
     assert main(["gen", "cycle", "--n", "0"]) == 2
     assert main(["gen", "barabasi", "--n", "3", "--k", "9"]) == 2
+
+
+@pytest.mark.parametrize("labels", ["", ","])
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_gen_rejects_an_empty_label_list(kind, labels, capsys):
+    assert main(["gen", kind, "--n", "3", "--labels", labels]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least one label is required" in captured.err
 
 
 def test_check_agrees_on_the_example(workdir, capsys):

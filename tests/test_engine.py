@@ -466,6 +466,19 @@ def test_run_state_is_not_tracked_by_the_garbage_collector():
     assert int in {targets.__class__ for targets in ev._derived.values()}
 
 
+def test_a_mask_with_nothing_fresh_still_turns_a_dict_set_and_its_delta(nesting_grammar, loop_graph):
+    ev = Evaluation(nesting_grammar, loop_graph, [(0, "S")])
+    slot = ev.items[0].slot
+    assert ev._sets[slot] == {0: None}
+    assert ev._pending[slot] == {0: None}
+    insertions = ev.stats.insertions
+    ev._insert(slot, 1 << 0)
+    # a union with a mask is a mask, and the delta keeps its set's container
+    assert ev._sets[slot] == 1 << 0
+    assert ev._pending[slot] == 1 << 0
+    assert ev.stats.insertions == insertions
+
+
 def test_mask_members_ascend_like_a_sorted_set():
     rng = random.Random(7)
     samples = [set(), {0}, {4000}] + [set(rng.sample(range(5000), rng.randrange(1, 300))) for _ in range(40)]

@@ -129,10 +129,13 @@ def test_engine_agrees_with_reference_and_itself(grammar, graph):
         renderings.add(results_tsv(result))
         counters.add(tuple(result.stats.as_dict().items()))
         containers = {s.__class__ for s in result._sets if s is not None}
+        derived_containers = {targets.__class__ for targets in result._derived.values()}
         if limit == "masks":
             assert containers <= {int}
+            assert derived_containers <= {int}
         elif limit == "dicts":
             assert containers <= {dict}
+            assert derived_containers <= {dict}
 
         stats = result.stats
         v, p, k = graph.vertex_count, len(grammar.productions), grammar.max_rhs_len
@@ -200,6 +203,13 @@ def test_one_vertex_stepping_reaches_the_same_fixpoint(grammar, graph, seed):
             assert stepped.stats.as_dict() == ran.stats.as_dict()
 
 
+def _masks(ev):
+    """The slots whose position set is a mask, and the pairs whose derived target set is one."""
+    slots = {slot for slot, position_set in enumerate(ev._sets) if position_set.__class__ is int}
+    pairs = {key for key, targets in ev._derived.items() if targets.__class__ is int}
+    return slots, pairs
+
+
 @settings(max_examples=40, deadline=None)
 @given(grammars(), graphs(), st.integers(0, 2**32 - 1))
 def test_every_step_keeps_each_delta_in_its_sets_container(grammar, graph, seed):
@@ -209,9 +219,40 @@ def test_every_step_keeps_each_delta_in_its_sets_container(grammar, graph, seed)
         with _dict_limit(limit):
             ev = Evaluation(grammar, graph, query, discipline, seed)
             _assert_each_delta_has_its_sets_container(ev)
+            slots, pairs = _masks(ev)
             while ev.step():
                 _assert_each_delta_has_its_sets_container(ev)
+                # no position set and no derived target set turns from a mask back into a dict
+                later_slots, later_pairs = _masks(ev)
+                assert slots <= later_slots
+                assert pairs <= later_pairs
+                slots, pairs = later_slots, later_pairs
         assert ev.answers == expected
+
+
+_vertex_ids = st.sets(st.integers(0, 80), max_size=12)
+
+
+@st.composite
+def _stored_sets(draw):
+    """A vertex set as the run stores it: None for none yet, a dict, or a mask."""
+    vertices = draw(_vertex_ids)
+    return draw(st.sampled_from((None, dict.fromkeys(vertices), engine._mask_of(vertices))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stored_sets(), _vertex_ids, st.booleans(), st.integers(-1, 14))
+def test_join_keeps_one_container_rule(seen, new_vertices, new_as_mask, limit):
+    before = set(engine._vertices(seen))
+    new = engine._mask_of(new_vertices) if new_as_mask else set(new_vertices)
+    union, fresh = engine._join(seen, new, limit)
+    assert set(engine._vertices(union)) == before | new_vertices
+    assert set(engine._vertices(fresh)) == new_vertices - before
+    # a mask if either side is one or the union has more than limit members, else a dict
+    as_mask = seen.__class__ is int or new_as_mask or len(before | new_vertices) > limit
+    assert union.__class__ is (int if as_mask else dict)
+    # the fresh part is a mask exactly when the union is, and a set otherwise
+    assert fresh.__class__ is (int if as_mask else set)
 
 
 @settings(max_examples=60, deadline=None)
