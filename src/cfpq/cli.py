@@ -27,7 +27,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .engine import Stats, evaluate, results_tsv_groups
+from .engine import DISCIPLINES, Stats, evaluate, results_tsv_groups
 from .errors import CfpqError
 from .grammar import Grammar, parse_grammar, split_lines
 from .graph import GENERATORS, DataGraph, _add_inverses, load_ntriples, load_triples, to_tsv
@@ -202,7 +202,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             targets = expected.get((source, nonterminal))
             if targets is not None:
                 targets.add(target)
-    for discipline in ("fifo", "lifo", "random"):
+    for discipline in DISCIPLINES:
         answers = evaluate(grammar, graph, query, discipline, args.seed).answers
         if answers != expected:
             for pair in sorted(expected, key=lambda p: (graph.vertex_name(p[0]), p[1])):
@@ -217,7 +217,8 @@ def cmd_check(args: argparse.Namespace) -> int:
                     _write_output((line,), args.out)
                     return 1
     total = sum(len(targets) for targets in expected.values())
-    _write_output((f"check: ok pairs={len(expected)} results={total} disciplines=fifo,lifo,random\n",), args.out)
+    line = f"check: ok pairs={len(expected)} results={total} disciplines={','.join(DISCIPLINES)}\n"
+    _write_output((line,), args.out)
     return 0
 
 
@@ -292,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--query", help="query pairs file: vertex<TAB>nonterminal per line (default: all vertices x start)")
 
     p_eval = sub.add_parser("eval", parents=[query], help="evaluate a query, write result TSV")
-    p_eval.add_argument("--discipline", choices=("fifo", "lifo", "random"), default="fifo")
+    p_eval.add_argument("--discipline", choices=DISCIPLINES, default="fifo")
     p_eval.set_defaults(func=cmd_eval)
 
     p_gen = sub.add_parser("gen", parents=[generator], help="emit a synthetic graph as TSV")

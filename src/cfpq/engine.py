@@ -78,6 +78,9 @@ from .errors import InvalidParams, LabelClash, UnknownNonterminal, UnknownVertex
 from .grammar import Grammar, Production
 from .graph import DataGraph
 
+DISCIPLINES = ("fifo", "lifo", "random")
+"""The worklist pop orders, in the order ``cfpq check`` runs them."""
+
 VertexSet = dict[int, None] | int
 """A vertex set of the run: a dict of None values keyed by vertex, or an int mask."""
 
@@ -240,12 +243,11 @@ class Worklist:
     container's own methods where it can.
     """
 
-    __slots__ = ("discipline", "_entries", "push", "pop")
+    __slots__ = ("_entries", "push", "pop")
 
     def __init__(self, discipline: str = "fifo", seed: int = 0):
-        if discipline not in ("fifo", "lifo", "random"):
+        if discipline not in DISCIPLINES:
             raise InvalidParams(f"unknown worklist discipline {discipline!r}")
-        self.discipline = discipline
         entries: deque[int] | list[int] = deque() if discipline == "fifo" else []
         self._entries = entries
         self.push = entries.append
@@ -525,9 +527,12 @@ class Evaluation:
         """Process one chosen pending vertex out of worklist order.
 
         Meant for manual stepping in tests and debugging sessions:
-        ``vertex`` must currently be pending at ``position`` of ``item``,
-        and it is processed as a delta of its own.
+        ``position`` must be one of ``0..len(item.production.rhs)``,
+        ``vertex`` must currently be pending there, and it is processed
+        as a delta of its own.
         """
+        if not 0 <= position <= len(item.production.rhs):
+            raise InvalidParams(f"position {position} is out of range for {item!r}")
         slot = item.slot + position
         delta = self._pending.get(slot)
         if delta is None or vertex not in _vertices(delta):

@@ -224,44 +224,41 @@ def _local_name(field: str) -> str:
     return field
 
 
-# An object term, the terminating dot and a comment. The term is an IRI,
-# a literal (with escapes and an optional language tag or datatype) or
-# any other token; a '#' inside an IRI or a literal belongs to the term.
-_COMMENTED_OBJECT = re.compile(r'(<[^>]*>|"(?:[^"\\]|\\.)*"(?:@[\w-]+|\^\^<[^>]*>)?|[^\s#<"][^\s#]*?)\s*\.\s*#.*')
+# A term is an IRI, a literal (with escapes and an optional language tag
+# or datatype) or a token that runs, lazily, to the next whitespace, so
+# the dot of "c." is not part of it. A '#' starts the comment only where
+# a term could start: at the line's start, after whitespace or after the
+# dot; inside an IRI, a literal or a token it belongs to the term.
+_TERM = r'(<[^>]+>|"(?:[^"\\]|\\.)*"(?:@[\w-]+|\^\^<[^>]+>)?|[^\s#<".]\S*?)'
+_LINE = re.compile(rf"\s*(?:{_TERM}\s+{_TERM}\s+{_TERM}(?:\s*\.)?\s*)?(?:(?<![^\s.])#.*)?")
 
 
 def load_ntriples(text: str) -> DataGraph:
-    """Thin N-Triples reader: three whitespace-separated terms and a dot.
+    """Thin N-Triples reader: a line is three terms, an optional dot and an optional comment.
 
-    IRIs map to the token after their last '#' or '/'; anything else
-    (blank nodes, literals) is kept verbatim as an opaque vertex token,
-    except that a raw tab in the object is written as the escape ``\\t``.
-    A ``#`` comment after the terminating dot is dropped.
+    Terms are separated by whitespace. A term is an IRI ``<...>``, a
+    literal ``"..."`` with an optional ``@lang`` or ``^^<iri>``, or any
+    other token that does not start with ``#``, ``<``, ``"`` or ``.``
+    (blank nodes, bare names). A ``#`` starts a comment only at the
+    line's start, after whitespace or right after the dot; an empty or
+    comment-only line is skipped, and any other line raises
+    ``MalformedTriple`` naming its line number. IRIs map to the token
+    after their last '#' or '/'; other terms are kept verbatim as opaque
+    names, except that a raw tab is written as the escape ``\\t``.
     """
     g = DataGraph()
-    for lineno, raw in enumerate(split_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(None, 2)
-        if len(parts) != 3:
+    for lineno, line in enumerate(split_lines(text), start=1):
+        match = _LINE.fullmatch(line)
+        if match is None:
             raise MalformedTriple(f"line {lineno}: expected 'subject predicate object .'")
-        s, p, rest = parts
-        rest = rest.rstrip()
-        if rest.endswith("."):
-            rest = rest[:-1].rstrip()
-        # Only a '#' outside a single IRI can start a comment.
-        if "#" in rest and not (rest[0] == "<" and rest.find(">") == len(rest) - 1):
-            commented = _COMMENTED_OBJECT.fullmatch(rest)
-            if commented:
-                rest = commented.group(1)
-        if not rest:
-            raise MalformedTriple(f"line {lineno}: missing object term")
-        if "\t" in rest:
+        s, p, o = match.groups()
+        if s is None:
+            continue
+        if "\t" in line:
             # A literal may hold a raw tab, the same string as its escape;
-            # kept raw, it would split the vertex name in TSV output.
-            rest = rest.replace("\t", "\\t")
-        g.add_edge(g.intern(_local_name(s)), _local_name(p), g.intern(_local_name(rest)))
+            # kept raw, it would split the name in TSV output.
+            s, p, o = (term.replace("\t", "\\t") for term in (s, p, o))
+        g.add_edge(g.intern(_local_name(s)), _local_name(p), g.intern(_local_name(o)))
     return g
 
 

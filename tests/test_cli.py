@@ -121,6 +121,27 @@ def test_eval_requires_exactly_one_graph_source(workdir, capsys):
     ) == 2
 
 
+# gen takes no --graph, so it has no two-file case.
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["eval", "--grammar", "{dir}/g.cfg", "--gen", "ablist", "--n", "5,10"],
+        ["eval", "--grammar", "{dir}/g.cfg", "--graph", "{dir}/a.tsv,{dir}/b.tsv"],
+        ["check", "--grammar", "{dir}/g.cfg", "--gen", "ablist", "--n", "5,10"],
+        ["check", "--grammar", "{dir}/g.cfg", "--graph", "{dir}/a.tsv,{dir}/b.tsv"],
+        ["gen", "ablist", "--n", "5,10"],
+    ],
+    ids=["eval-n", "eval-graph", "check-n", "check-graph", "gen-n"],
+)
+def test_a_command_on_one_graph_rejects_two(workdir, capsys, command):
+    (workdir / "a.tsv").write_text(GRAPH)
+    (workdir / "b.tsv").write_text(GRAPH)
+    assert main([arg.format(dir=workdir) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {command[0]} takes one graph, got 2\n"
+
+
 def test_eval_missing_file_is_a_clean_error(workdir, capsys):
     code = main(["eval", "--grammar", str(workdir / "nope.cfg"), "--graph", str(workdir / "d.tsv")])
     assert code == 2

@@ -101,6 +101,19 @@ def test_process_slot_wants_a_pending_vertex(nesting_grammar, loop_graph):
         ev.process_slot(ev.items[0], 0, v1)
 
 
+# S -> a S b has positions 0..3 and S -> ε only 0; the slot width is 4,
+# so position 4 of the first item, or -4 of the second, is the other's 0.
+@pytest.mark.parametrize("index, position", [(0, 4), (1, -4), (0, -1), (1, 1)])
+def test_process_slot_wants_a_position_of_the_item(nesting_grammar, loop_graph, index, position):
+    v1 = loop_graph.vertex_id("1")
+    ev = Evaluation(nesting_grammar, loop_graph, [(v1, "S")])
+    before = [item.pending for item in ev.items]
+    with pytest.raises(InvalidParams, match=f"position {position} is out of range"):
+        ev.process_slot(ev.items[index], position, v1)
+    assert [item.pending for item in ev.items] == before
+    assert len(ev.worklist) == 2
+
+
 def test_query_seeds_items_per_production(nesting_grammar, loop_graph):
     ev = Evaluation(nesting_grammar, loop_graph, _example_query(loop_graph))
     assert [render_item(i, ev.graph) for i in ev.items] == [

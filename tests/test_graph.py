@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfpq import (
     DataGraph,
@@ -336,3 +338,89 @@ def test_ntriples_inverses():
 def test_ntriples_malformed():
     with pytest.raises(MalformedTriple):
         load_ntriples("<http://e/x> <http://e/p>\n")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "a #b c .",
+        "_:b0 <http://e/p> #x .",
+        "a b # c .",
+        "<http://e/a> <http://e/p> c d .",
+        '<http://e/a> <http://e/p> "open .',
+        ".a <http://e/p> <http://e/o> .",
+        "<http://e/a> <http://e/p> <http://e/o>#c",
+        '<http://e/a> <http://e/p> "x"y .',
+        "<http://e/a> <http://e/p> <> .",
+    ],
+)
+def test_ntriples_line_that_is_not_three_terms_is_malformed(line):
+    with pytest.raises(MalformedTriple, match="^line 2: expected 'subject predicate object \\.'$"):
+        load_ntriples(f"<http://e/x> <http://e/q> <http://e/y> .\n{line}\n")
+
+
+@pytest.mark.parametrize(
+    "obj, name",
+    [
+        ("<http://e/b> # note", "b"),
+        ('"x" # note', '"x"'),
+        ("b#c .", "b#c"),
+        ("c.", "c"),
+        ("<http://e/b>", "b"),
+        ("c.# note", "c"),
+    ],
+)
+def test_ntriples_object_ends_at_the_dot_or_at_a_comment(obj, name):
+    g = load_ntriples(f"<http://e/a> <http://e/p> {obj}\n")
+    assert g.vertex_names == ["a", name]
+    assert g.triples == {(0, "p", 1)}
+
+
+_IRIS = st.builds(
+    lambda base, local: (f"<{base}{local}>", local),
+    st.sampled_from(["http://e/", "http://e/ns#", "http://e/a/b/"]),
+    st.text("abcxyz019_-.:", min_size=1, max_size=6),
+)
+_BLANK_NODES = st.text("abz019", min_size=1, max_size=4).map(lambda label: (f"_:{label}",) * 2)
+_LITERAL_BODIES = st.lists(
+    st.one_of(
+        st.sampled_from(['\\"', "\\\\", "\\t", "\\n", "\t", " ", ".", " . ", "#", " # ", "<a>", "@en"]),
+        st.text(st.characters(blacklist_characters='"\\\r\n'), max_size=3),
+    ),
+    max_size=5,
+).map("".join)
+_LITERALS = st.builds(
+    '"{}"{}'.format,
+    _LITERAL_BODIES,
+    st.sampled_from(["", "@en", "@en-GB", "^^<http://www.w3.org/2001/XMLSchema#string>"]),
+).map(lambda literal: (literal, literal.replace("\t", "\\t")))
+_COMMENT_TEXTS = st.text(max_size=8).filter(lambda text: "\r" not in text and "\n" not in text)
+
+
+def _blanks(min_size: int = 0) -> st.SearchStrategy[str]:
+    return st.text(" \t", min_size=min_size, max_size=3)
+
+
+@st.composite
+def _ntriples_lines(draw):
+    """A valid line of one triple, and the names its subject, predicate and object read as."""
+    s, s_name = draw(st.one_of(_IRIS, _BLANK_NODES))
+    p, p_name = draw(_IRIS)
+    o, o_name = draw(st.one_of(_IRIS, _BLANK_NODES, _LITERALS))
+    line = f"{draw(_blanks())}{s}{draw(_blanks(1))}{p}{draw(_blanks(1))}{o}"
+    dot = draw(st.booleans())
+    if dot:
+        line += draw(_blanks()) + "."
+    if draw(st.booleans()):
+        # Right after the dot a comment needs no whitespace before it.
+        line += draw(_blanks(0 if dot else 1)) + "#" + draw(_COMMENT_TEXTS)
+    return line + draw(_blanks()), s_name, p_name, o_name
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ntriples_lines())
+def test_ntriples_valid_line_reads_as_one_edge(case):
+    line, s_name, p_name, o_name = case
+    g = load_ntriples(line + "\n")
+    assert g.triples == {(g.vertex_id(s_name), p_name, g.vertex_id(o_name))}
+    assert g.vertex_count == len({s_name, o_name})
