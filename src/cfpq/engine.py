@@ -6,7 +6,7 @@ derives. Each queried pair seeds one item per production of the
 nonterminal. An item is a production annotated with one vertex set per
 position: the set after the j-th right-hand-side symbol holds the
 vertices reachable from the item's origin along paths matching the
-first j symbols.
+first j symbols. Position 0 holds only the origin, so it is not stored.
 
 The unit of work is a slot, one position of one item. A vertex that
 enters a position set also enters the slot's pending delta, and the
@@ -54,14 +54,14 @@ The run's state is laid out for the cyclic garbage collector to skip:
 slots and (vertex, nonterminal) pairs are ints, position sets, deltas,
 waiter lists and the derived-edge store's target sets are ints or dicts
 of int keys and None values, which the collector does not track, and an
-item is an entry in two flat lists until someone asks for ``items``.
+item is an entry in two flat lists until ``items`` builds it a view.
 
 The finished run is the result: ``run()`` and ``evaluate`` return the
 ``Evaluation`` itself, and its answers are read from the derived-edge
 store in place, with no copy of it. ``results_tsv_groups`` renders one
 (source, nonterminal) group of TSV rows at a time, ``answer_count``
-counts the rows, and only the ``answers`` and ``derived`` views build
-sets of vertex ids, both on each read.
+counts the rows, and only the ``answers``, ``derived`` and ``items``
+views build sets of vertex ids, all on each read.
 """
 
 from __future__ import annotations
@@ -188,9 +188,10 @@ class TraceItem:
     ``slot + j``. The position sets and pending deltas live in the
     evaluation's per-slot stores, and the item reads its own through
     ``sets`` and ``pending``. For a right-hand side of n symbols there
-    are n+1 positions; position 0 starts out holding the origin. The
-    stores hold each set as a dict or an int mask (see ``Evaluation``);
-    ``sets`` and ``pending`` read both alike.
+    are n+1 positions; position 0 holds only the origin, is not stored,
+    and ``sets`` reports it as ``{origin: None}``. The stores hold each
+    set as a dict or an int mask (see ``Evaluation``); ``sets`` and
+    ``pending`` read both alike.
     """
 
     __slots__ = ("production", "origin", "slot", "_sets", "_pending")
@@ -213,9 +214,9 @@ class TraceItem:
     def sets(self) -> list[dict[int, None]]:
         """Per position, the position set as a dict keyed by vertex id; a mask's come ascending."""
         end = self.slot + len(self.production.rhs) + 1
-        return [
+        return [{self.origin: None}] + [
             position_set if position_set.__class__ is dict else dict.fromkeys(_vertices(position_set))
-            for position_set in self._sets[self.slot : end]
+            for position_set in self._sets[self.slot + 1 : end]
         ]
 
     @property
@@ -320,9 +321,10 @@ class Evaluation:
     numbering and the rules come from tables built once per grammar. The
     per-query state is:
 
-    * per slot, the position set (None until its first vertex) and, in
-      one map, the pending delta: the vertices in the set that no step
-      has processed yet; ``items`` shows both per item;
+    * per slot, the position set (None until its first vertex, and at
+      position 0 for good) and, in one map, the pending delta: the
+      vertices in the set that no step has processed yet; ``items``
+      builds views of both per item on each read;
     * ``waiters``: pair -> the slots right after that nonterminal that
       must hear about the pair's new derived edges; a pair has an entry
       iff its items have been spawned, so each pair spawns at most once;
@@ -333,9 +335,10 @@ class Evaluation:
     Each position set, delta and target set is a dict of None values or
     an int mask (bit v set for vertex v), by ``_join``'s one rule: a
     union is a mask if either side is one or it has more than
-    ``_dict_limit(vertex_count)`` members. A slot's delta always has the
-    container of its position set, a target set starts as the first
-    delta that reaches it, and a mask never turns back into a dict.
+    ``_dict_limit(vertex_count)`` members. A slot's delta has the
+    container of its position set (at position 0, of a set of one), a
+    target set starts as the first delta that reaches it, and a mask
+    never turns back into a dict.
     """
 
     def __init__(
@@ -353,7 +356,6 @@ class Evaluation:
             )
         self.grammar = grammar
         self.graph = graph
-        self._items: list[TraceItem] = []
         self.waiters: dict[int, dict[int, None]] = {}
         self.worklist = Worklist(discipline, seed)
         self.stats = Stats()
@@ -371,18 +373,14 @@ class Evaluation:
         self._item_rules: list[Rule] = []
         self._origins: list[int] = []
 
-        pairs: list[tuple[int, str]] = []
-        seen: set[tuple[int, str]] = set()
-        for vertex, nonterminal in query:
+        # The caller's pairs, first occurrence kept; tuple() of a tuple is
+        # the tuple itself, so no pair is copied.
+        self.query = tuple(dict.fromkeys(map(tuple, query)))
+        for vertex, nonterminal in self.query:
             if nonterminal not in grammar.nonterminals:
                 raise UnknownNonterminal(f"queried symbol {nonterminal!r} is not a nonterminal")
             if not 0 <= vertex < graph.vertex_count:
                 raise UnknownVertex(f"queried vertex {vertex} out of range")
-            if (vertex, nonterminal) not in seen:
-                seen.add((vertex, nonterminal))
-                pairs.append((vertex, nonterminal))
-        self.query = tuple(pairs)
-        for vertex, nonterminal in self.query:
             self._spawn(vertex * len(self._nonterminals) + self._number[nonterminal])
 
     def _spawn(self, key: int) -> None:
@@ -398,7 +396,6 @@ class Evaluation:
             self._item_rules.append(rule)
             self._origins.append(origin)
             self._sets += blank
-            self._sets[slot] = 1 << origin if as_mask else {origin: None}
             self._pending[slot] = 1 << origin if as_mask else {origin: None}
             self.worklist.push(slot)
         self.stats.items_created += len(rules)
@@ -550,12 +547,11 @@ class Evaluation:
 
     @property
     def items(self) -> tuple[TraceItem, ...]:
-        """Every item, in creation order; each view is built on first read and kept."""
-        items = self._items
-        for index in range(len(items), len(self._origins)):
-            production = self._item_rules[index][0]
-            items.append(TraceItem(production, self._origins[index], index * self._width, self._sets, self._pending))
-        return tuple(items)
+        """Every item, in creation order, as views built on each read."""
+        return tuple(
+            TraceItem(rule[0], origin, index * self._width, self._sets, self._pending)
+            for index, (rule, origin) in enumerate(zip(self._item_rules, self._origins))
+        )
 
     @property
     def derived(self) -> dict[tuple[int, str], set[int]]:

@@ -226,10 +226,12 @@ def _local_name(field: str) -> str:
 
 # A term is an IRI, a literal (with escapes and an optional language tag
 # or datatype) or a token that runs, lazily, to the next whitespace, so
-# the dot of "c." is not part of it. A '#' starts the comment only where
-# a term could start: at the line's start, after whitespace or after the
-# dot; inside an IRI, a literal or a token it belongs to the term.
-_TERM = r'(<[^>]+>|"(?:[^"\\]|\\.)*"(?:@[\w-]+|\^\^<[^>]+>)?|[^\s#<".]\S*?)'
+# the dot of "c." is not part of it. A '#' starts the comment only at the
+# line's start, after whitespace or after the dot. An IRI holds any
+# character but '>' above U+0020 (RDF 1.1's IRIREF), as two ranges, the
+# letters' first: re tests them faster than the class [^>\x00-\x20].
+_IRI = r"<[\x3f-\U0010ffff\x21-\x3d]+>"
+_TERM = rf'({_IRI}|"(?:[^"\\]|\\.)*"(?:@[\w-]+|\^\^{_IRI})?|[^\s#<".]\S*?)'
 _LINE = re.compile(rf"\s*(?:{_TERM}\s+{_TERM}\s+{_TERM}(?:\s*\.)?\s*)?(?:(?<![^\s.])#.*)?")
 
 
@@ -239,12 +241,13 @@ def load_ntriples(text: str) -> DataGraph:
     Terms are separated by whitespace. A term is an IRI ``<...>``, a
     literal ``"..."`` with an optional ``@lang`` or ``^^<iri>``, or any
     other token that does not start with ``#``, ``<``, ``"`` or ``.``
-    (blank nodes, bare names). A ``#`` starts a comment only at the
+    (blank nodes, bare names). An IRI holds no character from U+0000 to
+    U+0020, so no space and no tab. A ``#`` starts a comment only at the
     line's start, after whitespace or right after the dot; an empty or
     comment-only line is skipped, and any other line raises
     ``MalformedTriple`` naming its line number. IRIs map to the token
     after their last '#' or '/'; other terms are kept verbatim as opaque
-    names, except that a raw tab is written as the escape ``\\t``.
+    names, except that a literal's raw tab is written as the escape ``\\t``.
     """
     g = DataGraph()
     for lineno, line in enumerate(split_lines(text), start=1):
@@ -255,8 +258,8 @@ def load_ntriples(text: str) -> DataGraph:
         if s is None:
             continue
         if "\t" in line:
-            # A literal may hold a raw tab, the same string as its escape;
-            # kept raw, it would split the name in TSV output.
+            # Only a literal may hold a raw tab, the same string as its
+            # escape; kept raw, it would split the name in TSV output.
             s, p, o = (term.replace("\t", "\\t") for term in (s, p, o))
         g.add_edge(g.intern(_local_name(s)), _local_name(p), g.intern(_local_name(o)))
     return g

@@ -26,12 +26,11 @@ DEFAULT_MAX_TRIPLES = 100_000
 class RelationTable:
     """Fixpoint result: one vertex-pair relation per grammar symbol."""
 
-    __slots__ = ("grammar", "relations", "vertex_count", "passes")
+    __slots__ = ("grammar", "relations", "passes")
 
-    def __init__(self, grammar: Grammar, relations: dict[str, Relation], vertex_count: int, passes: int):
+    def __init__(self, grammar: Grammar, relations: dict[str, Relation], passes: int):
         self.grammar = grammar
         self.relations = relations
-        self.vertex_count = vertex_count
         self.passes = passes
 
 
@@ -92,7 +91,7 @@ def fixpoint_relations(
             on_pass({s: frozenset(r) for s, r in relations.items()})
         if not changed:
             break
-    return RelationTable(grammar, relations, graph.vertex_count, passes)
+    return RelationTable(grammar, relations, passes)
 
 
 def oracle_eval(table: RelationTable, vertex: int, nonterminal: str) -> set[int]:

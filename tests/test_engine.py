@@ -132,6 +132,21 @@ def test_duplicate_query_pairs_collapse(nesting_grammar, loop_graph):
     assert ev.query == ((v1, "S"),)
 
 
+def test_the_query_is_the_callers_pairs_in_first_seen_order(nesting_grammar, loop_graph):
+    v1, v3 = loop_graph.vertex_id("1"), loop_graph.vertex_id("3")
+    first, other, again = (v1, "S"), (v3, "S"), (v1, "S")
+    assert again is not first
+    ev = Evaluation(nesting_grammar, loop_graph, [first, other, again])
+    assert ev.query == (first, other)
+    assert ev.query[0] is first
+    assert ev.query[1] is other
+    # pairs given as lists are read as tuples
+    ev = Evaluation(nesting_grammar, loop_graph, [[v3, "S"], [v1, "S"], [v3, "S"]])
+    assert ev.query == ((v3, "S"), (v1, "S"))
+    assert all(pair.__class__ is tuple for pair in ev.query)
+    assert len(ev.items) == 4
+
+
 def test_query_validation(nesting_grammar, loop_graph):
     with pytest.raises(UnknownNonterminal):
         Evaluation(nesting_grammar, loop_graph, [(0, "a")])
@@ -358,7 +373,7 @@ def test_everything_grows_monotonically_under_stepping(nesting_grammar, loop_gra
     def snapshot():
         return (
             {
-                id(item): [(set(s), set(s) - pending) for s, pending in zip(item.sets, item.pending)]
+                item.slot: [(set(s), set(s) - pending) for s, pending in zip(item.sets, item.pending)]
                 for item in ev.items
             },
             _derived_triples(ev.derived),
@@ -481,7 +496,8 @@ def test_run_state_is_not_tracked_by_the_garbage_collector():
 
 def test_a_mask_with_nothing_fresh_still_turns_a_dict_set_and_its_delta(nesting_grammar, loop_graph):
     ev = Evaluation(nesting_grammar, loop_graph, [(0, "S")])
-    slot = ev.items[0].slot
+    slot = ev.items[0].slot + 1
+    ev._insert(slot, {0})
     assert ev._sets[slot] == {0: None}
     assert ev._pending[slot] == {0: None}
     insertions = ev.stats.insertions

@@ -352,6 +352,10 @@ def test_ntriples_malformed():
         "<http://e/a> <http://e/p> <http://e/o>#c",
         '<http://e/a> <http://e/p> "x"y .',
         "<http://e/a> <http://e/p> <> .",
+        "<http://e/a b> <http://e/p> <http://e/o> .",
+        "<http://e/a> <http://e/p\tq> <http://e/o> .",
+        "<http://e/a> <http://e/p> <http://e/o b> .",
+        '<http://e/a> <http://e/p> "x"^^<http://e/d\tt> .',
     ],
 )
 def test_ntriples_line_that_is_not_three_terms_is_malformed(line):
@@ -368,6 +372,7 @@ def test_ntriples_line_that_is_not_three_terms_is_malformed(line):
         ("c.", "c"),
         ("<http://e/b>", "b"),
         ("c.# note", "c"),
+        ('"x y\tz" .', '"x y\\tz"'),
     ],
 )
 def test_ntriples_object_ends_at_the_dot_or_at_a_comment(obj, name):

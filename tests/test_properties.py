@@ -163,11 +163,39 @@ def test_engine_agrees_with_reference_and_itself(grammar, graph):
 
 
 def _assert_each_delta_has_its_sets_container(ev):
-    """The queued slots are those with a delta, each non-empty and of its position set's container."""
+    """The queued slots are those with a delta, each non-empty and of its position set's container.
+
+    Position 0 stores no set: its delta holds exactly the item's origin.
+    """
     assert sorted(ev.worklist) == sorted(ev._pending)
     for slot, delta in ev._pending.items():
         assert delta
-        assert delta.__class__ is ev._sets[slot].__class__
+        index, position = divmod(slot, ev._width)
+        if position == 0:
+            assert ev._sets[slot] is None
+            assert set(engine._vertices(delta)) == {ev._origins[index]}
+        else:
+            assert delta.__class__ is ev._sets[slot].__class__
+
+
+def _assert_position_0_holds_only_the_origin(ev):
+    """No position-0 set is stored, and each item reports its origin there."""
+    assert ev._sets[:: ev._width] == [None] * len(ev._origins)
+    for item in ev.items:
+        assert item.sets[0] == {item.origin: None}
+
+
+@settings(max_examples=30, deadline=None)
+@given(grammars(), graphs())
+def test_position_0_is_the_origin_and_not_a_stored_set(grammar, graph):
+    query = [(v, grammar.start) for v in graph.vertices()]
+    for limit in DICT_LIMITS:
+        with _dict_limit(limit):
+            ev = Evaluation(grammar, graph, query)
+            _assert_position_0_holds_only_the_origin(ev)
+            while ev.step():
+                _assert_position_0_holds_only_the_origin(ev)
+            _assert_position_0_holds_only_the_origin(Evaluation(grammar, graph, query).run())
 
 
 @settings(max_examples=40, deadline=None)
