@@ -1,19 +1,16 @@
-"""Command-line front end: evaluate queries, generate graphs, cross-check, benchmark.
+"""Command-line front end: evaluate queries, generate graphs, cross-check.
 
     cfpq eval  --grammar g.cfg --graph edges.tsv --query pairs.tsv --out results.tsv
     cfpq eval  --grammar g.cfg --gen ablist --n 50            # all vertices x start
     cfpq gen   barabasi --n 100 --k 3 --seed 1 --out edges.tsv
     cfpq check --grammar g.cfg --gen barabasi --n 40 --k 3 --seed 7
-    cfpq bench --grammar a.cfg,b.cfg --gen ablist --n 50,100 --reps 3
 
 Results are TSV rows ``source<TAB>nonterminal<TAB>target`` sorted
 ascending; run statistics go to stderr as ``key=value`` lines so stdout
 stays pipeable. Without ``--query`` every vertex is queried under the
 grammar's start symbol. ``eval --discipline`` picks the worklist order.
 ``check`` exits 0 iff all three worklist disciplines agree with the
-reference evaluator, whose budget of 100 000 triples is fixed. ``bench``
-runs fifo, emits one table row per (grammar, graph) combination and
-keeps sweeping past failing rows.
+reference evaluator, whose budget of 100 000 triples is fixed.
 """
 
 from __future__ import annotations
@@ -23,11 +20,10 @@ import inspect
 import os
 import sys
 import time
-from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .engine import DISCIPLINES, Stats, evaluate, results_tsv_groups
+from .engine import DISCIPLINES, evaluate, results_tsv_groups
 from .errors import CfpqError
 from .grammar import Grammar, parse_grammar, split_lines
 from .graph import GENERATORS, DataGraph, _add_inverses, load_ntriples, load_triples, to_tsv
@@ -52,55 +48,32 @@ def _load_graph(path: str) -> DataGraph:
     return load_triples(text)
 
 
-def _split(spec: str) -> list[str]:
-    """The comma-separated values of an option, empty ones dropped."""
-    return [token for token in spec.split(",") if token]
-
-
-def _build(make: Callable[[], DataGraph], add_inverses: bool) -> DataGraph:
-    graph = make()
-    if add_inverses:
-        _add_inverses(graph)
-    return graph
-
-
-def _graph_sources(args: argparse.Namespace) -> list[tuple[str, Callable[[], DataGraph]]]:
-    """Describe each graph in the --graph list, or from --gen at each
-    size in the --n list, with a loader for it that honours --add-inverses.
+def _graph_from_args(args: argparse.Namespace) -> DataGraph:
+    """The one graph that eval, check and gen work on: the --graph file,
+    or the --gen generator's, inverted in place under --add-inverses.
 
     A generator gets the options its signature names, out of n, k,
     seed, labels and label; label is the first of --labels.
     """
     if (args.graph is None) == (args.gen is None):
         raise CfpqError("exactly one of --graph or --gen is required")
-    sources: list[tuple[str, Callable[[], DataGraph]]] = []
     if args.graph is not None:
-        sources = [(Path(path).name, partial(_load_graph, path)) for path in _split(args.graph)]
+        graph = _load_graph(args.graph)
     elif args.n is None:
         raise CfpqError("--gen requires --n")
     else:
-        generator = GENERATORS[args.gen]
-        labels = _split(args.labels)
+        labels = [label for label in args.labels.split(",") if label]
         if not labels:
             raise CfpqError("--labels: at least one label is required")
-        for n_text in _split(args.n):
-            try:
-                n = int(n_text)
-            except ValueError:
-                raise CfpqError(f"--n: not an integer: {n_text!r}") from None
-            options = {"n": n, "k": args.k, "seed": args.seed, "labels": labels, "label": labels[0]}
-            params = {name: options[name] for name in inspect.signature(generator).parameters}
-            shown = (f"{name}={','.join(value) if name == 'labels' else value}" for name, value in params.items())
-            sources.append((f"{args.gen}({','.join(shown)})", partial(generator, **params)))
-    return [(desc, partial(_build, make, args.add_inverses)) for desc, make in sources]
-
-
-def _graph_from_args(args: argparse.Namespace) -> DataGraph:
-    """The one graph that eval, check and gen work on."""
-    sources = _graph_sources(args)
-    if len(sources) != 1:
-        raise CfpqError(f"{args.command} takes one graph, got {len(sources)}")
-    return sources[0][1]()
+        for label in labels:
+            if any(char in label for char in "\t\n\r"):
+                raise CfpqError(f"--labels: a label cannot hold a tab or a line break: {label!r}")
+        generator = GENERATORS[args.gen]
+        options = {"n": args.n, "k": args.k, "seed": args.seed, "labels": labels, "label": labels[0]}
+        graph = generator(**{name: options[name] for name in inspect.signature(generator).parameters})
+    if args.add_inverses:
+        _add_inverses(graph)
+    return graph
 
 
 def _parse_query_file(text: str, graph: DataGraph, grammar: Grammar) -> list[tuple[int, str]]:
@@ -222,54 +195,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.reps < 1:
-        raise CfpqError(f"--reps must be >= 1, got {args.reps}")
-    grammar_paths = _split(args.grammar)
-    if not grammar_paths:
-        raise CfpqError("--grammar needs at least one path")
-    sources = _graph_sources(args)
-    if not sources:
-        raise CfpqError("no graphs to benchmark")
-
-    header = ["grammar", "graph", "vertices", "triples", "results", "time_ms", *Stats().as_dict()]
-    lines = ["\t".join(header)]
-    failures = 0
-    for grammar_path in grammar_paths:
-        for desc, load in sources:
-            try:
-                grammar = _load_grammar(grammar_path)
-                graph = load()
-                query = [(v, grammar.start) for v in graph.vertices()]
-                times = []
-                first_total: int | None = None
-                stats = None
-                for _ in range(args.reps):
-                    started = time.perf_counter()
-                    result = evaluate(grammar, graph, query)
-                    times.append((time.perf_counter() - started) * 1000.0)
-                    total = result.answer_count
-                    if first_total is None:
-                        first_total, stats = total, result.stats
-                    elif total != first_total:
-                        raise CfpqError(f"result count changed between repetitions: {first_total} vs {total}")
-                row = [
-                    Path(grammar_path).stem,
-                    desc,
-                    str(graph.vertex_count),
-                    str(graph.edge_count),
-                    str(first_total),
-                    f"{sum(times) / len(times):.3f}",
-                    *map(str, stats.as_dict().values()),
-                ]
-                lines.append("\t".join(row))
-            except CfpqError as exc:
-                failures += 1
-                print(f"bench: {Path(grammar_path).stem} x {desc}: {exc}", file=sys.stderr)
-    _write_output(("\n".join(lines) + "\n",), args.out)
-    return 1 if failures else 0
-
-
 # -- argument wiring -------------------------------------------------------
 
 
@@ -278,18 +203,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     generator = argparse.ArgumentParser(add_help=False)
-    generator.add_argument("--n", help="generator size, comma-separated list for bench")
+    generator.add_argument("--n", type=int, help="generator size")
     generator.add_argument("--k", type=int, default=1, help="attachment degree for barabasi (default 1)")
     generator.add_argument("--labels", default="a,b,c,d", help="generator labels, comma separated")
     generator.add_argument("--add-inverses", action="store_true", help="also materialize (o, p^-1, s) edges")
     generator.add_argument("--out", help="output file (default: stdout)")
 
-    inputs = argparse.ArgumentParser(add_help=False, parents=[generator])
-    inputs.add_argument("--grammar", required=True, help="grammar file (comma-separated list for bench)")
-    inputs.add_argument("--graph", help="triples file, TSV or .nt (comma-separated list for bench)")
-    inputs.add_argument("--gen", choices=sorted(GENERATORS), help="generate the graph instead of loading one")
-
-    query = argparse.ArgumentParser(add_help=False, parents=[inputs])
+    query = argparse.ArgumentParser(add_help=False, parents=[generator])
+    query.add_argument("--grammar", required=True, help="grammar file")
+    query.add_argument("--graph", help="triples file, TSV or .nt")
+    query.add_argument("--gen", choices=sorted(GENERATORS), help="generate the graph instead of loading one")
     query.add_argument("--query", help="query pairs file: vertex<TAB>nonterminal per line (default: all vertices x start)")
 
     p_eval = sub.add_parser("eval", parents=[query], help="evaluate a query, write result TSV")
@@ -303,15 +226,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", parents=[query], help="engine vs reference evaluator under all disciplines")
     p_check.set_defaults(func=cmd_check)
 
-    p_bench = sub.add_parser("bench", parents=[inputs], help="sweep grammars x graphs, one table row each")
-    p_bench.add_argument("--reps", type=int, default=1, help="repetitions per row, times averaged")
-    p_bench.set_defaults(func=cmd_bench)
-
     for command, seed_help in (
         (p_eval, "seed for the generator and the random discipline (default 0)"),
         (p_gen, "seed for the generator (default 0)"),
         (p_check, "seed for the generator and for check's random-discipline run (default 0)"),
-        (p_bench, "seed for the generator (default 0); bench runs fifo, which takes no seed"),
     ):
         command.add_argument("--seed", type=int, default=0, help=seed_help)
 

@@ -10,9 +10,9 @@ terminal. The query engine only reads a graph: it keeps the
 nonterminal-labeled edges it derives in a store of its own, so many
 queries can share one loaded graph.
 
-Also home to the synthetic generators used by the benchmark CLI and a
-thin N-Triples pre-tokenizer (IRIs and literals become opaque local-name
-tokens; full RDF semantics is out of scope).
+Also home to the synthetic generators used by ``cfpq gen`` and
+perfbench, and a thin N-Triples pre-tokenizer (IRIs and literals
+become opaque local-name tokens; full RDF semantics is out of scope).
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cfpq
-from cfpq import DataGraph, fixpoint_relations, gen_ablist, oracle_eval, parse_grammar
+from cfpq import DataGraph, parse_grammar
 from cfpq.cli import _parse_query_file, main
 from cfpq.graph import GENERATORS
 
@@ -113,33 +113,66 @@ def test_eval_lists_all_query_offenders(workdir, capsys):
     assert "line 3" in err
 
 
-def test_eval_requires_exactly_one_graph_source(workdir, capsys):
-    assert main(["eval", "--grammar", str(workdir / "g.cfg")]) == 2
-    assert main(
-        ["eval", "--grammar", str(workdir / "g.cfg"), "--graph", str(workdir / "d.tsv"),
-         "--gen", "ablist", "--n", "2"]
-    ) == 2
+def _exit_status(argv: list[str]) -> int:
+    """main's exit status, whether it returns it or argparse exits with it."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
-# gen takes no --graph, so it has no two-file case.
+@pytest.mark.parametrize(
+    "sources, message",
+    [
+        (["--graph", "{dir}/d.tsv", "--gen", "ablist", "--n", "2"], "exactly one of --graph or --gen is required"),
+        ([], "exactly one of --graph or --gen is required"),
+        (["--gen", "ablist"], "--gen requires --n"),
+        (["--gen", "ablist", "--n", "2,x"], None),
+        (["--gen", "ablist", "--n", ","], None),
+    ],
+    ids=["both", "neither", "gen-without-n", "n-not-an-integer", "n-empty"],
+)
+def test_eval_graph_source_errors(workdir, capsys, sources, message):
+    argv = ["eval", "--grammar", str(workdir / "g.cfg"), *(arg.format(dir=workdir) for arg in sources)]
+    assert _exit_status(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if message is None:
+        # argparse rejects the value and writes its usage
+        assert "--n" in captured.err
+    else:
+        assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [("eval", RESULTS), ("check", "check: ok pairs=2 results=5 disciplines=fifo,lifo,random\n")],
+    ids=["eval", "check"],
+)
+def test_a_comma_in_a_graph_path_is_part_of_the_file_name(workdir, capsys, command, expected):
+    (workdir / "a,b.tsv").write_text(GRAPH)
+    code = main(
+        [command, "--grammar", str(workdir / "g.cfg"), "--graph", str(workdir / "a,b.tsv"),
+         "--query", str(workdir / "q.tsv")]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize(
     "command",
     [
         ["eval", "--grammar", "{dir}/g.cfg", "--gen", "ablist", "--n", "5,10"],
-        ["eval", "--grammar", "{dir}/g.cfg", "--graph", "{dir}/a.tsv,{dir}/b.tsv"],
         ["check", "--grammar", "{dir}/g.cfg", "--gen", "ablist", "--n", "5,10"],
-        ["check", "--grammar", "{dir}/g.cfg", "--graph", "{dir}/a.tsv,{dir}/b.tsv"],
         ["gen", "ablist", "--n", "5,10"],
     ],
-    ids=["eval-n", "eval-graph", "check-n", "check-graph", "gen-n"],
+    ids=["eval-n", "check-n", "gen-n"],
 )
 def test_a_command_on_one_graph_rejects_two(workdir, capsys, command):
-    (workdir / "a.tsv").write_text(GRAPH)
-    (workdir / "b.tsv").write_text(GRAPH)
-    assert main([arg.format(dir=workdir) for arg in command]) == 2
+    assert _exit_status([arg.format(dir=workdir) for arg in command]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {command[0]} takes one graph, got 2\n"
+    assert "argument --n: invalid int value: '5,10'" in captured.err
 
 
 def test_eval_missing_file_is_a_clean_error(workdir, capsys):
@@ -165,9 +198,8 @@ def test_eval_non_utf8_file_is_a_clean_error(workdir, capsys, role):
         ["eval", "--grammar", "{dir}/g.cfg", "--graph", "{dir}/d.tsv"],
         ["gen", "ablist", "--n", "2"],
         ["check", "--grammar", "{dir}/g.cfg", "--graph", "{dir}/d.tsv"],
-        ["bench", "--grammar", "{dir}/g.cfg", "--gen", "ablist", "--n", "2"],
     ],
-    ids=["eval", "gen", "check", "bench"],
+    ids=["eval", "gen", "check"],
 )
 def test_out_into_a_missing_directory_is_a_clean_error(workdir, capsys, command):
     target = workdir / "no" / "such" / "dir" / "out.tsv"
@@ -183,9 +215,8 @@ def test_out_into_a_missing_directory_is_a_clean_error(workdir, capsys, command)
         ["eval", "--grammar", "{dir}/g.cfg", "--graph", "{dir}/d.tsv"],
         ["gen", "ablist", "--n", "2"],
         ["check", "--grammar", "{dir}/g.cfg", "--graph", "{dir}/d.tsv"],
-        ["bench", "--grammar", "{dir}/g.cfg", "--gen", "ablist", "--n", "2"],
     ],
-    ids=["eval", "gen", "check", "bench"],
+    ids=["eval", "gen", "check"],
 )
 def test_a_closed_stdout_is_a_clean_error(workdir, command):
     # The reader is gone before the first write, as after `| head -1`.
@@ -265,6 +296,22 @@ def test_gen_rejects_an_empty_label_list(kind, labels, capsys):
     assert "at least one label is required" in captured.err
 
 
+# A tab would add a field to each written edge, a line break split it.
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
+@pytest.mark.parametrize(
+    "command",
+    [["gen", "string"], ["eval", "--grammar", "{dir}/g.cfg", "--gen", "string"]],
+    ids=["gen", "eval"],
+)
+def test_a_label_that_would_break_the_tsv_is_rejected(workdir, capsys, command, char):
+    label = f"a{char}b"
+    code = main([arg.format(dir=workdir) for arg in command] + ["--n", "2", "--labels", f"s,{label}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --labels: a label cannot hold a tab or a line break: {label!r}\n"
+
+
 def test_check_agrees_on_the_example(workdir, capsys):
     code = main(["check", "--grammar", str(workdir / "g.cfg"), "--graph", str(workdir / "d.tsv")])
     assert code == 0
@@ -337,84 +384,22 @@ def test_check_respects_the_size_budget(workdir, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, option",
+    "command, option, message",
     [
-        ("check", ["--discipline", "lifo"]),
-        ("bench", ["--discipline", "random"]),
-        ("eval", ["--all-from", "S"]),
-        ("check", ["--max-triples", "3"]),
+        ("check", ["--discipline", "lifo"], "unrecognized arguments: --discipline lifo"),
+        ("eval", ["--all-from", "S"], "unrecognized arguments: --all-from S"),
+        ("check", ["--max-triples", "3"], "unrecognized arguments: --max-triples 3"),
+        ("bench", [], "argument command: invalid choice: 'bench'"),
     ],
-    ids=["check-discipline", "bench-discipline", "eval-all-from", "check-max-triples"],
+    ids=["check-discipline", "eval-all-from", "check-max-triples", "bench"],
 )
-def test_options_a_command_does_not_take_are_rejected(workdir, capsys, command, option):
+def test_options_a_command_does_not_take_are_rejected(workdir, capsys, command, option, message):
     with pytest.raises(SystemExit) as exit_info:
         main([command, "--grammar", str(workdir / "g.cfg"), "--graph", str(workdir / "d.tsv"), *option])
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"unrecognized arguments: {' '.join(option)}" in captured.err
-
-
-def test_bench_sweeps_and_is_stable(workdir, capsys):
-    code = main(
-        ["bench", "--grammar", str(workdir / "g.cfg"), "--gen", "ablist", "--n", "2,4",
-         "--reps", "2"]
-    )
-    assert code == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split("\t") == [
-        "grammar", "graph", "vertices", "triples", "results", "time_ms",
-        "items_created", "pops", "edges_added", "insertions",
-    ]
-    assert len(lines) == 3
-    grammar = parse_grammar(GRAMMAR)
-    for line, n in zip(lines[1:], (2, 4)):
-        row = dict(zip(lines[0].split("\t"), line.split("\t")))
-        assert row["grammar"] == "g"
-        assert row["graph"] == f"ablist(n={n})"
-        graph = gen_ablist(n)
-        table = fixpoint_relations(grammar, graph)
-        expected = sum(len(oracle_eval(table, v, "S")) for v in graph.vertices())
-        assert int(row["results"]) == expected
-        assert int(row["vertices"]) == 2 * n + 1
-
-
-def test_bench_continues_past_failing_rows(workdir, capsys):
-    code = main(
-        ["bench", "--grammar", f"{workdir / 'g.cfg'},{workdir / 'missing.cfg'}",
-         "--gen", "ablist", "--n", "2"]
-    )
-    assert code == 1
-    captured = capsys.readouterr()
-    assert len(captured.out.splitlines()) == 2  # header + the surviving row
-    assert "missing" in captured.err
-
-
-def test_bench_rejects_zero_reps(workdir, capsys):
-    code = main(
-        ["bench", "--grammar", str(workdir / "g.cfg"), "--gen", "ablist", "--n", "2",
-         "--reps", "0"]
-    )
-    assert code == 2
-    assert "--reps" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "sources, message",
-    [
-        (["--graph", "{dir}/d.tsv", "--gen", "ablist", "--n", "2"], "exactly one of --graph or --gen is required"),
-        ([], "exactly one of --graph or --gen is required"),
-        (["--gen", "ablist"], "--gen requires --n"),
-        (["--gen", "ablist", "--n", "2,x"], "--n: not an integer: 'x'"),
-        (["--gen", "ablist", "--n", ","], "no graphs to benchmark"),
-    ],
-    ids=["both", "neither", "gen-without-n", "n-not-an-integer", "n-empty"],
-)
-def test_bench_graph_source_errors(workdir, capsys, sources, message):
-    code = main(["bench", "--grammar", str(workdir / "g.cfg"), *(arg.format(dir=workdir) for arg in sources)])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert message in captured.err
 
 
 def test_add_inverses_round_trip(tmp_path, capsys):
