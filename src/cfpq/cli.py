@@ -43,7 +43,7 @@ def _load_grammar(path: str) -> Grammar:
 
 def _load_graph(path: str) -> DataGraph:
     text = _read_text(path)
-    if path.endswith(".nt"):
+    if path.lower().endswith(".nt"):
         return load_ntriples(text)
     return load_triples(text)
 
@@ -53,24 +53,39 @@ def _graph_from_args(args: argparse.Namespace) -> DataGraph:
     or the --gen generator's, inverted in place under --add-inverses.
 
     A generator gets the options its signature names, out of n, k,
-    seed, labels and label; label is the first of --labels.
+    seed, labels and label; label is the first of --labels. Any other
+    generator option given is an error, and so is one given with
+    --graph, but for --seed on eval and check, where it also seeds the
+    random discipline.
     """
     if (args.graph is None) == (args.gen is None):
         raise CfpqError("exactly one of --graph or --gen is required")
-    if args.graph is not None:
-        graph = _load_graph(args.graph)
-    elif args.n is None:
+    if args.gen is not None and args.n is None:
         raise CfpqError("--gen requires --n")
+    labels = [label for label in ("a,b,c,d" if args.labels is None else args.labels).split(",") if label]
+    if not labels:
+        raise CfpqError("--labels: at least one label is required")
+    for label in labels:
+        if any(char in label for char in "\t\n\r"):
+            raise CfpqError(f"--labels: a label cannot hold a tab or a line break: {label!r}")
+    generator = GENERATORS.get(args.gen)
+    takes = inspect.signature(generator).parameters if generator else {}
+    given = {"n": args.n, "k": args.k, "labels": args.labels, "seed": args.seed if args.command == "gen" else None}
+    for option, value in given.items():
+        if value is not None and option not in takes and not (option == "labels" and "label" in takes):
+            source = f"the {args.gen} generator" if generator else "--graph"
+            raise CfpqError(f"--{option} is not an option of {source}")
+    if generator is None:
+        graph = _load_graph(args.graph)
     else:
-        labels = [label for label in args.labels.split(",") if label]
-        if not labels:
-            raise CfpqError("--labels: at least one label is required")
-        for label in labels:
-            if any(char in label for char in "\t\n\r"):
-                raise CfpqError(f"--labels: a label cannot hold a tab or a line break: {label!r}")
-        generator = GENERATORS[args.gen]
-        options = {"n": args.n, "k": args.k, "seed": args.seed, "labels": labels, "label": labels[0]}
-        graph = generator(**{name: options[name] for name in inspect.signature(generator).parameters})
+        options = {
+            "n": args.n,
+            "k": 1 if args.k is None else args.k,
+            "seed": 0 if args.seed is None else args.seed,
+            "labels": labels,
+            "label": labels[0],
+        }
+        graph = generator(**{name: options[name] for name in takes})
     if args.add_inverses:
         _add_inverses(graph)
     return graph
@@ -204,8 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     generator = argparse.ArgumentParser(add_help=False)
     generator.add_argument("--n", type=int, help="generator size")
-    generator.add_argument("--k", type=int, default=1, help="attachment degree for barabasi (default 1)")
-    generator.add_argument("--labels", default="a,b,c,d", help="generator labels, comma separated")
+    generator.add_argument("--k", type=int, help="attachment degree for barabasi (default 1)")
+    generator.add_argument("--labels", help="generator labels, comma separated (default a,b,c,d)")
     generator.add_argument("--add-inverses", action="store_true", help="also materialize (o, p^-1, s) edges")
     generator.add_argument("--out", help="output file (default: stdout)")
 
@@ -226,12 +241,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", parents=[query], help="engine vs reference evaluator under all disciplines")
     p_check.set_defaults(func=cmd_check)
 
-    for command, seed_help in (
-        (p_eval, "seed for the generator and the random discipline (default 0)"),
-        (p_gen, "seed for the generator (default 0)"),
-        (p_check, "seed for the generator and for check's random-discipline run (default 0)"),
+    # gen's --seed defaults to None, so that one a generator does not take is seen.
+    for command, seed_default, seed_help in (
+        (p_eval, 0, "seed for the generator and the random discipline (default 0)"),
+        (p_gen, None, "seed for the generator (default 0)"),
+        (p_check, 0, "seed for the generator and for check's random-discipline run (default 0)"),
     ):
-        command.add_argument("--seed", type=int, default=0, help=seed_help)
+        command.add_argument("--seed", type=int, default=seed_default, help=seed_help)
 
     return parser
 

@@ -36,25 +36,30 @@ changes the run, not the fixpoint.
 
 Each vertex set of the run (position set, pending delta, derived
 targets) picks its own container, as Roaring bitmaps do per chunk: a
-dict of int keys and None values, or an int bitmask. One rule, in
-``_join``, serves every set: a union is a mask if either side is one or
-it has more than ``max(32, vertex_count >> 6)`` members, and a dict
-otherwise, so a mask never turns back into a dict. A delta has its
-position set's container, and a derived target set starts as the first
-delta that reaches it. Sparse sets stay small, and on a dense run a
-union is one int OR, as in the Boolean-matrix formulation of CFPQ. One
-step function serves both containers: a dict delta is walked vertex by
-vertex, a mask delta's members are enumerated in C and its terminal
-step ORs per-source successor masks, built once per label and source
-for the evaluation. A step passes on what it read, the masks as one
-mask and the rest as one set, and the join into the next set picks
-that set's container.
+tuple of vertex ids, a dict of int keys and None values, or an int
+bitmask. One rule, in ``_join``, serves every set: a set of at most
+``_TUPLE_LIMIT`` (8) members is a tuple, a larger one a dict up to
+``max(32, vertex_count >> 6)`` members, and a mask above that; a union
+with a mask is a mask, and a union with a dict is not a tuple, so a set
+only ever moves up that order. A delta has its position set's
+container, and a derived target set starts as the first delta that
+reaches it. Sets of one or two vertices take a tuple's few words rather
+than a dict's hash table, and on a dense run a union is one int OR, as
+in the Boolean-matrix formulation of CFPQ. One step function serves
+every container: a tuple or dict delta is walked vertex by vertex, a
+mask delta's members are enumerated in C and its terminal step ORs
+per-source successor masks, built once per label and source for the
+evaluation. A step passes on what it read, the masks as one mask and
+the rest as one set, and the join into the next set picks that set's
+container.
 
 The run's state is laid out for the cyclic garbage collector to skip:
-slots and (vertex, nonterminal) pairs are ints, position sets, deltas,
-waiter lists and the derived-edge store's target sets are ints or dicts
-of int keys and None values, which the collector does not track, and an
-item is an entry in two flat lists until ``items`` builds it a view.
+slots and (vertex, nonterminal) pairs are ints, waiter lists are dicts
+of int keys and None values, which the collector does not track, and so
+are the position sets, deltas and derived target sets held as dicts or
+masks; a tuple of ints is tracked when it is made and untracked by the
+first collection that sees it. An item is an entry in two flat lists
+until ``items`` builds it a view.
 
 The finished run is the result: ``run()`` and ``evaluate`` return the
 ``Evaluation`` itself, and its answers are read from the derived-edge
@@ -81,12 +86,16 @@ from .graph import DataGraph
 DISCIPLINES = ("fifo", "lifo", "random")
 """The worklist pop orders, in the order ``cfpq check`` runs them."""
 
-VertexSet = dict[int, None] | int
-"""A vertex set of the run: a dict of None values keyed by vertex, or an int mask."""
+VertexSet = tuple[int, ...] | dict[int, None] | int
+"""A vertex set of the run: a tuple of vertex ids, a dict of None values keyed by vertex, or an int mask."""
 
 # Maps the digits of bin() to the bytes compress() reads as false and true.
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _BIT = (1).__lshift__
+
+
+_TUPLE_LIMIT = 8
+"""The most members a vertex set holds as a tuple; a larger one is a dict or a mask."""
 
 
 def _dict_limit(vertex_count: int) -> int:
@@ -120,45 +129,55 @@ class _SuccessorMasks:
     """Per source vertex, the mask of its successors under one label.
 
     A source's mask is built the first time a delta holds the source;
-    ``_built`` is the mask of the sources built so far.
+    ``_built`` is the mask of the sources built so far, and ``_sources``
+    the mask of those among them that have successors, so a union ORs
+    no source's empty mask.
     """
 
-    __slots__ = ("_by_source", "_masks", "_built")
+    __slots__ = ("_by_source", "_masks", "_built", "_sources")
 
     def __init__(self, by_source: dict[int, set[int]], vertex_count: int):
         self._by_source = by_source
         self._masks = [0] * vertex_count
         self._built = 0
+        self._sources = 0
 
     def union(self, delta: int) -> int:
         """The mask of every successor of the vertices of ``delta``."""
         missing = delta & ~self._built
         if missing:
             masks, by_source = self._masks, self._by_source
+            sources = []
             for vertex in _members(missing):
                 targets = by_source.get(vertex)
                 if targets:
                     masks[vertex] = _mask_of(targets)
+                    sources.append(vertex)
             self._built |= missing
-        return reduce(or_, compress(self._masks, _flags(delta)), 0)
+            self._sources |= _mask_of(sources)
+        return reduce(or_, compress(self._masks, _flags(delta & self._sources)), 0)
 
 
 def _vertices(vertex_set: VertexSet | None) -> Iterable[int]:
-    """The vertices of a set of either container, or none for None."""
+    """The vertices of a set of any container, or none for None."""
     if vertex_set.__class__ is int:
         return _members(vertex_set)
     return vertex_set or ()
 
 
-def _join(seen: VertexSet | None, new: set[int] | int, limit: int) -> tuple[VertexSet, set[int] | int]:
+def _join(
+    seen: VertexSet | None, new: Collection[int] | int, limit: int
+) -> tuple[VertexSet, tuple[int, ...] | set[int] | int]:
     """The union of ``seen`` (None for no set yet) and ``new``, and the part of ``new`` not in ``seen``.
 
     The container rule of every vertex set of the run: the union is an
-    int mask if either side is one or it has more than ``limit`` members,
-    and a dict otherwise, so a mask never turns back into a dict. The
-    fresh part is a mask exactly when the union is, and a set otherwise.
-    A dict ``seen`` grows in place, key by key; ``new`` is only read,
-    though it may come back as the fresh part.
+    int mask if either side is one or it has more than ``limit``
+    members; otherwise a dict if ``seen`` is one or the union has more
+    than ``_TUPLE_LIMIT`` members; and otherwise a tuple. So a set only
+    ever moves up from tuple to dict to mask. The fresh part is a mask
+    or a tuple when the union is, and a set when it is a dict. A dict
+    ``seen`` grows in place, key by key; ``new`` is only read, though it
+    may come back as the fresh part.
     """
     if seen.__class__ is int or new.__class__ is int:
         if new.__class__ is not int:
@@ -169,11 +188,30 @@ def _join(seen: VertexSet | None, new: set[int] | int, limit: int) -> tuple[Vert
             seen = _mask_of(seen)
         return seen | new, new & ~seen
     if seen is None:
-        seen, fresh = {}, new
+        size = len(new)
+        if size <= _TUPLE_LIMIT and size <= limit:
+            # tuple() of a tuple is the tuple itself.
+            new = tuple(new)
+            return new, new
+        seen, fresh = {}, new if new.__class__ is set else set(new)
+    elif seen.__class__ is tuple:
+        if len(new) == 1:
+            # The common case of a sparse run, with no set built.
+            (vertex,) = new
+            fresh = () if vertex in seen else (vertex,)
+        else:
+            fresh = (new if new.__class__ is set else set(new)).difference(seen)
+        size = len(seen) + len(fresh)
+        if size <= _TUPLE_LIMIT and size <= limit:
+            fresh = tuple(fresh)
+            return seen + fresh, fresh
+        seen = dict.fromkeys(seen)
+        if fresh.__class__ is not set:
+            fresh = set(fresh)
     else:
         # set.difference looks each new vertex up in ``seen``;
         # ``new - seen.keys()`` would iterate all of ``seen``.
-        fresh = new.difference(seen)
+        fresh = (new if new.__class__ is set else set(new)).difference(seen)
     for vertex in fresh:
         seen[vertex] = None
     if len(seen) > limit:
@@ -190,8 +228,8 @@ class TraceItem:
     ``sets`` and ``pending``. For a right-hand side of n symbols there
     are n+1 positions; position 0 holds only the origin, is not stored,
     and ``sets`` reports it as ``{origin: None}``. The stores hold each
-    set as a dict or an int mask (see ``Evaluation``); ``sets`` and
-    ``pending`` read both alike.
+    set as a tuple, a dict or an int mask (see ``Evaluation``); ``sets``
+    and ``pending`` read all three alike.
     """
 
     __slots__ = ("production", "origin", "slot", "_sets", "_pending")
@@ -332,13 +370,14 @@ class Evaluation:
       (origin, nonterminal) keys and target sets;
     * ``worklist``: the slots whose delta is non-empty.
 
-    Each position set, delta and target set is a dict of None values or
-    an int mask (bit v set for vertex v), by ``_join``'s one rule: a
-    union is a mask if either side is one or it has more than
-    ``_dict_limit(vertex_count)`` members. A slot's delta has the
+    Each position set, delta and target set is a tuple of vertex ids, a
+    dict of None values or an int mask (bit v set for vertex v), by
+    ``_join``'s one rule: a set of at most ``_TUPLE_LIMIT`` members is a
+    tuple, a larger one a dict, and one of more than
+    ``_dict_limit(vertex_count)`` members a mask. A slot's delta has the
     container of its position set (at position 0, of a set of one), a
-    target set starts as the first delta that reaches it, and a mask
-    never turns back into a dict.
+    target set starts as the first delta that reaches it, and a set only
+    ever moves up from tuple to dict to mask.
     """
 
     def __init__(
@@ -389,19 +428,20 @@ class Evaluation:
         self.waiters[key] = {}
         rules = self._rules[number]
         blank = [None] * self._width
-        # _join's rule for a set of one member.
-        as_mask = self._limit < 1
+        # _join's rule for a set of one member. The pair's items share a
+        # tuple, but not a dict, which process_slot changes in place.
+        one = 1 << origin if self._limit < 1 else (origin,) if _TUPLE_LIMIT >= 1 else None
         for rule in rules:
             slot = len(self._sets)
             self._item_rules.append(rule)
             self._origins.append(origin)
             self._sets += blank
-            self._pending[slot] = 1 << origin if as_mask else {origin: None}
+            self._pending[slot] = one or {origin: None}
             self.worklist.push(slot)
         self.stats.items_created += len(rules)
         self.stats.insertions += len(rules)
 
-    def _insert(self, slot: int, new: set[int] | int) -> None:
+    def _insert(self, slot: int, new: Collection[int] | int) -> None:
         """Add ``new`` to a position set; its fresh part joins the slot's delta.
 
         ``new`` is only read, never kept, so callers may pass a set they
@@ -412,7 +452,7 @@ class Evaluation:
         pending = self._pending
         if fresh.__class__ is int:
             delta = pending.get(slot)
-            if delta.__class__ is dict:
+            if delta is not None and delta.__class__ is not int:
                 # The set has just turned into a mask, so its delta turns
                 # too, even when nothing in ``new`` was fresh.
                 delta = pending[slot] = _mask_of(delta)
@@ -426,18 +466,20 @@ class Evaluation:
             if not fresh:
                 return
             self.stats.insertions += len(fresh)
-            # The fresh part becomes the slot's delta, or joins it, and is
-            # freed once processed. dict.fromkeys presizes it for a set, so
-            # deltas take memory blocks of another size than the position
-            # sets, which grow key by key at their own size; freed deltas
-            # then leave no holes among the position sets. Built alike, the
-            # two raised the peak RSS of an all-vertex a^n b^n run
-            # (n = 20 000) by about 6 MB.
-            fresh = dict.fromkeys(fresh)
             delta = pending.get(slot)
-            if delta is not None:
-                delta.update(fresh)
-                return
+            if fresh.__class__ is tuple:
+                if delta is not None:
+                    pending[slot] = delta + fresh
+                    return
+            else:
+                # A set: the position set is a dict, and so is the delta.
+                fresh = dict.fromkeys(fresh)
+                if delta.__class__ is tuple:
+                    # The set has just turned from a tuple into a dict.
+                    delta = pending[slot] = dict.fromkeys(delta)
+                if delta is not None:
+                    delta.update(fresh)
+                    return
         pending[slot] = fresh
         self.worklist.push(slot)
 
@@ -498,7 +540,9 @@ class Evaluation:
             # Last set: the origin reaches these vertices along the whole
             # right-hand side, which derives new lhs-labeled edges.
             key = self._origins[index] * len(self._nonterminals) + lhs
-            new = delta if is_mask else set(delta)
+            # _join reads a dict through a set copy: one copy here serves
+            # every waiter.
+            new = set(delta) if delta.__class__ is dict else delta
             targets = self._derived.get(key)
             if targets is None:
                 # The first delta is handed over as the target set, not
@@ -537,6 +581,9 @@ class Evaluation:
         if delta.__class__ is int:
             single = 1 << vertex
             delta = self._pending[slot] = delta ^ single
+        elif delta.__class__ is tuple:
+            single = (vertex,)
+            delta = self._pending[slot] = tuple(other for other in delta if other != vertex)
         else:
             single = {vertex: None}
             del delta[vertex]
@@ -647,8 +694,8 @@ def results_tsv_groups(result: Evaluation) -> Iterator[str]:
     ``result`` is a finished ``Evaluation``; its query pairs' targets are
     read from its derived-edge store in place. Groups come sorted by the
     unique key (source name, nonterminal), so the sort never compares
-    targets, and within a group rows come by target name. A dict group
-    sorts its target names. A mask group filters the name-sorted vertex
+    targets, and within a group rows come by target name. A tuple or dict
+    group sorts its target names. A mask group filters the name-sorted vertex
     list by the mask's membership bytes; that list is built once per
     call, and only if a mask group shows up.
     """

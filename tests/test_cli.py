@@ -296,6 +296,44 @@ def test_gen_rejects_an_empty_label_list(kind, labels, capsys):
     assert "at least one label is required" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "complete", "--n", "2", "--k", "9"], "--k is not an option of the complete generator"),
+        (["gen", "string", "--n", "3", "--seed", "-5"], "--seed is not an option of the string generator"),
+        (["gen", "ablist", "--n", "2", "--labels", "a"], "--labels is not an option of the ablist generator"),
+        (["eval", "--grammar", "{dir}/g.cfg", "--gen", "cycle", "--n", "2", "--k", "1"],
+         "--k is not an option of the cycle generator"),
+        (["eval", "--grammar", "{dir}/g.cfg", "--graph", "{dir}/d.tsv", "--n", "3"], "--n is not an option of --graph"),
+        (["check", "--grammar", "{dir}/g.cfg", "--graph", "{dir}/d.tsv", "--labels", "a"],
+         "--labels is not an option of --graph"),
+    ],
+    ids=["gen-complete-k", "gen-string-seed", "gen-ablist-labels", "eval-cycle-k", "eval-graph-n", "check-graph-labels"],
+)
+def test_an_option_the_graph_source_does_not_take_is_rejected(workdir, capsys, argv, message):
+    assert main([arg.format(dir=workdir) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "string", "--n", "2", "--labels", "x"],
+        ["gen", "barabasi", "--n", "5", "--k", "2", "--seed", "3", "--labels", "a,b"],
+        ["eval", "--grammar", "{dir}/g.cfg", "--gen", "string", "--n", "3", "--seed", "5"],
+        ["check", "--grammar", "{dir}/g.cfg", "--gen", "ablist", "--n", "3", "--seed", "5"],
+        ["eval", "--grammar", "{dir}/g.cfg", "--graph", "{dir}/d.tsv", "--seed", "5", "--discipline", "random"],
+    ],
+    ids=["gen-string-label", "gen-barabasi-all", "eval-string-seed", "check-ablist-seed", "eval-graph-seed"],
+)
+def test_options_the_graph_source_or_the_discipline_takes_are_accepted(workdir, capsys, argv):
+    # eval and check take --seed with any graph source: it also seeds the random discipline
+    assert main([arg.format(dir=workdir) for arg in argv]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
 # A tab would add a field to each written edge, a line break split it.
 @pytest.mark.parametrize("char", ["\t", "\n", "\r"], ids=["tab", "lf", "cr"])
 @pytest.mark.parametrize(
@@ -423,5 +461,14 @@ def test_ntriples_files_load_by_suffix(tmp_path, capsys):
     (tmp_path / "g.cfg").write_text("S -> p\n")
     (tmp_path / "d.nt").write_text("<http://e/x> <http://e/p> <http://e/y> .\n")
     code = main(["eval", "--grammar", str(tmp_path / "g.cfg"), "--graph", str(tmp_path / "d.nt")])
+    assert code == 0
+    assert capsys.readouterr().out == "x\tS\ty\n"
+
+
+@pytest.mark.parametrize("name", ["d.NT", "d.Nt"])
+def test_the_ntriples_suffix_matches_in_any_case(tmp_path, capsys, name):
+    (tmp_path / "g.cfg").write_text("S -> p\n")
+    (tmp_path / name).write_text("<http://e/x> <http://e/p> <http://e/y> .\n")
+    code = main(["eval", "--grammar", str(tmp_path / "g.cfg"), "--graph", str(tmp_path / name)])
     assert code == 0
     assert capsys.readouterr().out == "x\tS\ty\n"

@@ -17,6 +17,7 @@ from cfpq import (
     evaluate,
     final_items,
     fixpoint_relations,
+    gen_ablist,
     gen_barabasi,
     gen_string,
     load_triples,
@@ -472,6 +473,11 @@ def test_run_state_is_not_tracked_by_the_garbage_collector():
     sparse = (bundled_grammar("ab_ambiguous"), gen_barabasi(40, 3, seed=2, labels=("a", "b")))
     # sets of this hierarchy pass the dict limit, so the run holds masks too
     dense = (bundled_grammar("sc_t"), with_inverses(gen_barabasi(200, 3, seed=1, labels=("subClassOf", "type"))))
+
+    def untracked(vertex_sets, tuples):
+        """No set of the given kind is tracked: dicts and masks never are, a tuple of ints not once collected."""
+        return not any(gc.is_tracked(s) for s in vertex_sets if (s.__class__ is tuple) is tuples)
+
     for grammar, graph in (sparse, dense):
         ev = Evaluation(grammar, graph, [(v, grammar.start) for v in graph.vertices()])
         for _ in range(60):
@@ -479,33 +485,77 @@ def test_run_state_is_not_tracked_by_the_garbage_collector():
         slots = list(ev.worklist)
         assert slots
         assert not any(gc.is_tracked(slot) for slot in slots)
-        assert not any(gc.is_tracked(delta) for delta in ev._pending.values())
+        assert untracked(ev._pending.values(), tuples=False)
+        # CPython tracks a tuple when it is made and untracks one that holds
+        # only untracked objects in the first collection that sees it.
+        gc.collect(0)
+        assert untracked(ev._pending.values(), tuples=True)
         ev.run()
         position_sets = [s for item in ev.items for s in item.sets]
         assert sum(map(len, position_sets)) == ev.stats.insertions
-        assert not any(gc.is_tracked(s) for s in ev._sets)
+        assert untracked(ev._sets, tuples=False)
         assert ev.waiters
         for waiting in ev.waiters.values():
             assert not gc.is_tracked(waiting)
             assert not any(gc.is_tracked(slot) for slot in waiting)
         assert ev._derived
-        assert not any(gc.is_tracked(targets) for targets in ev._derived.values())
-    assert {s.__class__ for s in ev._sets if s is not None} == {dict, int}
+        assert untracked(ev._derived.values(), tuples=False)
+        gc.collect(0)
+        assert untracked(ev._sets, tuples=True)
+        assert untracked(ev._derived.values(), tuples=True)
+    assert {s.__class__ for s in ev._sets if s is not None} == {tuple, dict, int}
     assert int in {targets.__class__ for targets in ev._derived.values()}
 
 
-def test_a_mask_with_nothing_fresh_still_turns_a_dict_set_and_its_delta(nesting_grammar, loop_graph):
+def test_a_mask_with_nothing_fresh_still_turns_a_dict_set_and_its_delta(nesting_grammar, loop_graph, monkeypatch):
+    for tuple_limit, one in ((0, {0: None}), (engine._TUPLE_LIMIT, (0,))):
+        # a tuple bound of 0 holds a set of one as a dict, the default as a tuple
+        monkeypatch.setattr(engine, "_TUPLE_LIMIT", tuple_limit)
+        ev = Evaluation(nesting_grammar, loop_graph, [(0, "S")])
+        slot = ev.items[0].slot + 1
+        ev._insert(slot, {0})
+        assert ev._sets[slot] == one
+        assert ev._pending[slot] == one
+        insertions = ev.stats.insertions
+        ev._insert(slot, 1 << 0)
+        # a union with a mask is a mask, and the delta keeps its set's container
+        assert ev._sets[slot] == 1 << 0
+        assert ev._pending[slot] == 1 << 0
+        assert ev.stats.insertions == insertions
+
+
+def test_a_set_growing_by_one_vertex_moves_from_tuple_to_dict_to_mask(nesting_grammar, loop_graph):
     ev = Evaluation(nesting_grammar, loop_graph, [(0, "S")])
     slot = ev.items[0].slot + 1
-    ev._insert(slot, {0})
-    assert ev._sets[slot] == {0: None}
-    assert ev._pending[slot] == {0: None}
+    limit = engine._dict_limit(loop_graph.vertex_count)
+    order = (tuple, dict, int)
+    rank = 0
     insertions = ev.stats.insertions
-    ev._insert(slot, 1 << 0)
-    # a union with a mask is a mask, and the delta keeps its set's container
-    assert ev._sets[slot] == 1 << 0
-    assert ev._pending[slot] == 1 << 0
-    assert ev.stats.insertions == insertions
+    for vertex in range(limit + 4):
+        ev._insert(slot, {vertex})
+        position_set, delta = ev._sets[slot], ev._pending[slot]
+        assert set(engine._vertices(position_set)) == set(engine._vertices(delta)) == set(range(vertex + 1))
+        # the delta keeps its set's container, which never moves back
+        assert delta.__class__ is position_set.__class__
+        assert order.index(position_set.__class__) >= rank
+        rank = order.index(position_set.__class__)
+        size = vertex + 1
+        assert position_set.__class__ is (tuple if size <= engine._TUPLE_LIMIT else dict if size <= limit else int)
+    assert rank == 2
+    assert ev.stats.insertions == insertions + limit + 4
+
+
+def test_an_a_n_b_n_chain_holds_every_set_as_a_tuple():
+    # Every set of this shape holds one or two vertices, the case tuples are for.
+    grammar = bundled_grammar("ab_ambiguous")
+    result = evaluate(grammar, gen_ablist(200), [(v, grammar.start) for v in range(401)])
+    position_sets = [s for s in result._sets if s is not None]
+    assert position_sets
+    assert all(s.__class__ is tuple for s in position_sets)
+    assert result._derived
+    assert all(targets.__class__ is tuple for targets in result._derived.values())
+    assert max(map(len, position_sets)) <= 2
+    assert result.stats.pops == result.stats.insertions
 
 
 def test_mask_members_ascend_like_a_sorted_set():

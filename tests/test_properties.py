@@ -30,22 +30,27 @@ from cfpq import (
 
 from conftest import bundled_grammar
 
-# The engine's dict limit, swept: every set a mask, every set a dict, sets
-# of two or more members as masks (both containers meet), and the default,
-# which the small graphs drawn here never pass.
+# The engine's container bounds, swept as (tuple bound, dict limit): every
+# set a mask, every set a dict, every set a tuple, sets of one member as
+# tuples, of two as dicts and of more as masks (all three containers meet),
+# and the defaults, under which the small graphs drawn here hold every set
+# as a tuple.
 DICT_LIMITS = {
-    "masks": lambda vertex_count: -1,
-    "dicts": lambda vertex_count: 1 << 62,
-    "mixed": lambda vertex_count: 1,
-    "default": engine._dict_limit,
+    "masks": (engine._TUPLE_LIMIT, lambda vertex_count: -1),
+    "dicts": (0, lambda vertex_count: 1 << 62),
+    "tuples": (1 << 62, lambda vertex_count: 1 << 62),
+    "mixed": (1, lambda vertex_count: 2),
+    "default": (engine._TUPLE_LIMIT, engine._dict_limit),
 }
 
 
 @contextmanager
 def _dict_limit(name: str):
     """Patch the named entry of DICT_LIMITS into the engine."""
+    tuple_limit, dict_limit = DICT_LIMITS[name]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "_dict_limit", DICT_LIMITS[name])
+        patch.setattr(engine, "_TUPLE_LIMIT", tuple_limit)
+        patch.setattr(engine, "_dict_limit", dict_limit)
         yield
 
 
@@ -136,6 +141,9 @@ def test_engine_agrees_with_reference_and_itself(grammar, graph):
         elif limit == "dicts":
             assert containers <= {dict}
             assert derived_containers <= {dict}
+        elif limit == "tuples":
+            assert containers <= {tuple}
+            assert derived_containers <= {tuple}
 
         stats = result.stats
         v, p, k = graph.vertex_count, len(grammar.productions), grammar.max_rhs_len
@@ -263,24 +271,39 @@ _vertex_ids = st.sets(st.integers(0, 80), max_size=12)
 
 @st.composite
 def _stored_sets(draw):
-    """A vertex set as the run stores it: None for none yet, a dict, or a mask."""
+    """A vertex set as the run stores it: None for none yet, a tuple, a dict, or a mask."""
     vertices = draw(_vertex_ids)
-    return draw(st.sampled_from((None, dict.fromkeys(vertices), engine._mask_of(vertices))))
+    return draw(st.sampled_from((None, tuple(vertices), dict.fromkeys(vertices), engine._mask_of(vertices))))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_stored_sets(), _vertex_ids, st.booleans(), st.integers(-1, 14))
-def test_join_keeps_one_container_rule(seen, new_vertices, new_as_mask, limit):
+_NEW_CONTAINERS = {"set": set, "tuple": tuple, "mask": engine._mask_of}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stored_sets(), _vertex_ids, st.sampled_from(sorted(_NEW_CONTAINERS)), st.integers(-1, 14))
+def test_join_keeps_one_container_rule(seen, new_vertices, new_container, limit):
     before = set(engine._vertices(seen))
-    new = engine._mask_of(new_vertices) if new_as_mask else set(new_vertices)
+    new = _NEW_CONTAINERS[new_container](new_vertices)
     union, fresh = engine._join(seen, new, limit)
     assert set(engine._vertices(union)) == before | new_vertices
     assert set(engine._vertices(fresh)) == new_vertices - before
-    # a mask if either side is one or the union has more than limit members, else a dict
-    as_mask = seen.__class__ is int or new_as_mask or len(before | new_vertices) > limit
-    assert union.__class__ is (int if as_mask else dict)
-    # the fresh part is a mask exactly when the union is, and a set otherwise
-    assert fresh.__class__ is (int if as_mask else set)
+    size = len(before | new_vertices)
+    # a mask if either side is one or the union has more than limit members;
+    # else a dict if seen is one or the union has more than the tuple bound;
+    # else a tuple
+    if seen.__class__ is int or new_container == "mask" or size > limit:
+        container, fresh_container = int, int
+    elif seen.__class__ is dict or size > engine._TUPLE_LIMIT:
+        container, fresh_container = dict, set
+    else:
+        container, fresh_container = tuple, tuple
+    assert union.__class__ is container
+    # the fresh part is a mask or a tuple exactly when the union is, and a set otherwise
+    assert fresh.__class__ is fresh_container
+    if container is tuple:
+        # a tuple lists each member once, the old ones first
+        assert union == tuple(engine._vertices(seen)) + fresh
+        assert len(set(fresh)) == len(fresh)
 
 
 @settings(max_examples=60, deadline=None)
