@@ -45,13 +45,21 @@ only ever moves up that order. A delta has its position set's
 container, and a derived target set starts as the first delta that
 reaches it. Sets of one or two vertices take a tuple's few words rather
 than a dict's hash table, and on a dense run a union is one int OR, as
-in the Boolean-matrix formulation of CFPQ. One step function serves
-every container: a tuple or dict delta is walked vertex by vertex, a
-mask delta's members are enumerated in C and its terminal step ORs
-per-source successor masks, built once per label and source for the
-evaluation. A step passes on what it read, the masks as one mask and
-the rest as one set, and the join into the next set picks that set's
-container.
+in the Boolean-matrix formulation of CFPQ.
+
+One worklist loop, ``Evaluation._drain``, runs every step, for
+``run()``, ``step()`` and ``process_slot()`` alike, with the run's
+state bound once per call rather than once per step. It serves every
+container: a tuple or dict delta is walked vertex by vertex; a mask
+delta's members come from its low bits when it has at most
+``_TUPLE_LIMIT`` of them and are enumerated in C otherwise, and its
+terminal step ORs per-source successor masks, built once per label and
+source for the evaluation. A step passes on what it read: the masks as
+one mask, and a single successor set or derived target set as it is,
+so a set is built only to merge two reads. On a sparse run most joins
+add one vertex to a tuple or to no set yet. The loop does those joins
+itself, by ``_join``'s rule, as it does the last set's one-vertex join
+into a tuple target set; every other join goes through ``_join``.
 
 The run's state is laid out for the cyclic garbage collector to skip:
 slots and (vertex, nonterminal) pairs are ints, waiter lists are dicts
@@ -108,9 +116,21 @@ def _flags(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)
 
 
-def _members(mask: int) -> Iterator[int]:
-    """The vertices of a mask, ascending, enumerated in C."""
-    return compress(count(), _flags(mask))
+def _members(mask: int) -> Iterable[int]:
+    """The vertices of a mask, ascending.
+
+    A mask of at most ``_TUPLE_LIMIT`` members gives them from its low
+    bits, in a few steps each; a larger one has them enumerated in C
+    from ``_flags``, a pass over the whole mask.
+    """
+    if mask.bit_count() > _TUPLE_LIMIT:
+        return compress(count(), _flags(mask))
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return members
 
 
 def _mask_of(vertices: Collection[int]) -> int:
@@ -155,7 +175,10 @@ class _SuccessorMasks:
                     sources.append(vertex)
             self._built |= missing
             self._sources |= _mask_of(sources)
-        return reduce(or_, compress(self._masks, _flags(delta & self._sources)), 0)
+        present = delta & self._sources
+        if present.bit_count() > _TUPLE_LIMIT:
+            return reduce(or_, compress(self._masks, _flags(present)), 0)
+        return reduce(or_, map(self._masks.__getitem__, _members(present)), 0)
 
 
 def _vertices(vertex_set: VertexSet | None) -> Iterable[int]:
@@ -195,12 +218,7 @@ def _join(
             return new, new
         seen, fresh = {}, new if new.__class__ is set else set(new)
     elif seen.__class__ is tuple:
-        if len(new) == 1:
-            # The common case of a sparse run, with no set built.
-            (vertex,) = new
-            fresh = () if vertex in seen else (vertex,)
-        else:
-            fresh = (new if new.__class__ is set else set(new)).difference(seen)
+        fresh = (new if new.__class__ is set else set(new)).difference(seen)
         size = len(seen) + len(fresh)
         if size <= _TUPLE_LIMIT and size <= limit:
             fresh = tuple(fresh)
@@ -378,6 +396,13 @@ class Evaluation:
     container of its position set (at position 0, of a set of one), a
     target set starts as the first delta that reaches it, and a set only
     ever moves up from tuple to dict to mask.
+
+    ``run()``, ``step()`` and ``process_slot()`` share one loop,
+    ``_drain``: run drains the worklist, step pops one slot, and
+    process_slot hands the loop a delta of one vertex. The loop itself
+    joins a new part into no set yet, or one new vertex into a tuple,
+    when the union stays within ``min(_TUPLE_LIMIT, limit)`` members;
+    every other join calls ``_insert``.
     """
 
     def __init__(
@@ -483,85 +508,166 @@ class Evaluation:
         pending[slot] = fresh
         self.worklist.push(slot)
 
-    def _process(self, slot: int, delta: VertexSet) -> None:
-        """Process ``delta``, vertices of ``slot``'s set no step has seen yet.
+    def _drain(self, steps: int, slot: int = 0, delta: VertexSet | None = None) -> None:
+        """The worklist loop: process up to ``steps`` deltas (-1: until the worklist is empty).
 
-        ``delta`` is handed over: the step may keep it.
+        The first is ``delta`` of ``slot`` if one is given, the rest are
+        popped. A given delta is handed over, and a popped one is taken
+        out of the pending map: the step may keep it. The run's state is
+        bound once per call, and the counters are added to ``stats`` when
+        the call ends; ``_spawn`` extends the lists bound here in place.
         """
-        is_mask = delta.__class__ is int
-        self.stats.pops += delta.bit_count() if is_mask else len(delta)
-        index, position = divmod(slot, self._width)
-        production, lhs, numbers = self._item_rules[index]
-        if position < len(numbers):
-            number = numbers[position]
-            out: set[int] = set()
-            mask = 0
-            if number < 0:
-                label = production.rhs[position]
-                by_source = self.graph.index.get(label)
-                if is_mask and by_source:
-                    masks = self._successor_masks.get(label)
-                    if masks is None:
-                        masks = self._successor_masks[label] = _SuccessorMasks(by_source, self.graph.vertex_count)
-                    mask = masks.union(delta)
-                elif by_source:
-                    successors = by_source.get
-                    for vertex in delta:
-                        targets = successors(vertex)
-                        if targets:
-                            out |= targets
-            else:
-                width = len(self._nonterminals)
-                waiters, derived = self.waiters, self._derived
-                for vertex in _members(delta) if is_mask else delta:
-                    key = vertex * width + number
-                    waiting = waiters.get(key)
-                    if waiting is None:
-                        # No items for this pair yet, so no derived edge
-                        # of it can exist either; nothing to read.
-                        assert key not in derived
-                        self._spawn(key)
-                        waiting = waiters[key]
+        sets, pending, derived, waiters = self._sets, self._pending, self._derived, self.waiters
+        item_rules, origins, graph_index = self._item_rules, self._origins, self.graph.index
+        successor_masks, vertex_count = self._successor_masks, self.graph.vertex_count
+        push, pop, take = self.worklist.push, self.worklist.pop, pending.pop
+        insert, spawn = self._insert, self._spawn
+        width, pair_width, limit = self._width, len(self._nonterminals), self._limit
+        # The most members a join below builds as a tuple, by _join's rule.
+        small = min(_TUPLE_LIMIT, limit)
+        handed, delta = delta, None
+        pops = insertions = edges = 0
+        try:
+            while steps:
+                if handed is None:
+                    # The pending map's keys are exactly the queued slots.
+                    if not pending:
+                        return
+                    slot = pop()
+                    delta = take(slot)
+                else:
+                    delta, handed = handed, None
+                steps -= 1
+                is_mask = delta.__class__ is int
+                pops += delta.bit_count() if is_mask else len(delta)
+                index, position = divmod(slot, width)
+                production, lhs, numbers = item_rules[index]
+                if position < len(numbers):
+                    number = numbers[position]
+                    # What the step read: the first read is passed on as
+                    # it is, and a set is built only to merge a second one.
+                    new = None
+                    merged = False
+                    mask = 0
+                    if number < 0:
+                        label = production.rhs[position]
+                        by_source = graph_index.get(label)
+                        if not by_source:
+                            continue
+                        if is_mask:
+                            masks = successor_masks.get(label)
+                            if masks is None:
+                                masks = successor_masks[label] = _SuccessorMasks(by_source, vertex_count)
+                            mask = masks.union(delta)
+                        else:
+                            for vertex in delta:
+                                targets = by_source.get(vertex)
+                                if targets:
+                                    if new is None:
+                                        new = targets
+                                    elif merged:
+                                        new |= targets
+                                    else:
+                                        # The graph's own set is only read.
+                                        new, merged = new | targets, True
                     else:
-                        targets = derived.get(key)
-                        if targets:
-                            if targets.__class__ is int:
-                                mask |= targets
+                        for vertex in _members(delta) if is_mask else delta:
+                            key = vertex * pair_width + number
+                            waiting = waiters.get(key)
+                            if waiting is None:
+                                # No items for this pair yet, so no derived
+                                # edge of it either; nothing to read.
+                                spawn(key)
+                                waiting = waiters[key]
                             else:
-                                out.update(targets)
-                    waiting[slot + 1] = None
-            # The mask goes in first: once the next set is a mask, the dict
-            # reads join it as one more mask rather than key by key.
-            if mask:
-                self._insert(slot + 1, mask)
-            if out:
-                self._insert(slot + 1, out)
-        else:
-            # Last set: the origin reaches these vertices along the whole
-            # right-hand side, which derives new lhs-labeled edges.
-            key = self._origins[index] * len(self._nonterminals) + lhs
-            # _join reads a dict through a set copy: one copy here serves
-            # every waiter.
-            new = set(delta) if delta.__class__ is dict else delta
-            targets = self._derived.get(key)
-            if targets is None:
-                # The first delta is handed over as the target set, not
-                # copied: a copy per derived pair costs time and peak RSS.
-                self._derived[key] = delta
-            else:
-                self._derived[key], new = _join(targets, new, self._limit)
-                if not new:
-                    return
-            self.stats.edges_added += new.bit_count() if new.__class__ is int else len(new)
-            for waiting_slot in self.waiters[key]:
-                self._insert(waiting_slot, new)
+                                targets = derived.get(key)
+                                if targets:
+                                    if targets.__class__ is int:
+                                        mask |= targets
+                                    elif new is None:
+                                        new = targets
+                                    elif merged:
+                                        new.update(targets)
+                                    else:
+                                        new, merged = set(new), True
+                                        new.update(targets)
+                            waiting[slot + 1] = None
+                    # The mask goes in first: once the next set is a mask,
+                    # the other reads join it as one more mask rather than
+                    # key by key.
+                    if mask:
+                        insert(slot + 1, mask)
+                    if not new:
+                        continue
+                    receivers = (slot + 1,)
+                else:
+                    # Last set: the origin reaches these vertices along the
+                    # whole right-hand side, which derives new lhs edges.
+                    key = origins[index] * pair_width + lhs
+                    targets = derived.get(key)
+                    if targets is None:
+                        # The first delta is handed over as the target set,
+                        # not copied: a copy per derived pair costs time and
+                        # peak RSS. _join reads a dict through a set copy, so
+                        # one copy here serves every waiter.
+                        derived[key] = delta
+                        new = set(delta) if delta.__class__ is dict else delta
+                    elif (
+                        targets.__class__ is tuple
+                        and delta.__class__ is tuple
+                        and len(delta) == 1
+                        and len(targets) < small
+                    ):
+                        if delta[0] in targets:
+                            continue
+                        derived[key] = targets + delta
+                        new = delta
+                    else:
+                        derived[key], new = _join(targets, set(delta) if delta.__class__ is dict else delta, limit)
+                        if not new:
+                            continue
+                    edges += new.bit_count() if new.__class__ is int else len(new)
+                    receivers = waiters[key]
+                # Join ``new`` into each receiving set. While the set stays
+                # a tuple the join is done here, with what _insert does for
+                # a tuple; every other join is _insert's.
+                if new.__class__ is int or len(new) > small:
+                    for receiver in receivers:
+                        insert(receiver, new)
+                    continue
+                size = len(new)
+                fresh = new if new.__class__ is tuple else tuple(new)
+                for receiver in receivers:
+                    seen = sets[receiver]
+                    if seen is None:
+                        # No set, so no delta either.
+                        sets[receiver] = pending[receiver] = fresh
+                        push(receiver)
+                        insertions += size
+                    elif seen.__class__ is tuple and size == 1 and len(seen) < small:
+                        if fresh[0] in seen:
+                            continue
+                        sets[receiver] = seen + fresh
+                        queued = pending.get(receiver)
+                        if queued is None:
+                            pending[receiver] = fresh
+                            push(receiver)
+                        else:
+                            pending[receiver] = queued + fresh
+                        insertions += 1
+                    else:
+                        insert(receiver, new)
+        finally:
+            stats = self.stats
+            stats.pops += pops
+            stats.insertions += insertions
+            stats.edges_added += edges
 
     def step(self) -> bool:
         """Process one pending slot's whole delta; False once the worklist is empty."""
-        if not self.worklist:
+        if not self._pending:
             return False
-        slot = self.worklist.pop()
-        self._process(slot, self._pending.pop(slot))
+        self._drain(1)
         return True
 
     def process_slot(self, item: TraceItem, position: int, vertex: int) -> None:
@@ -590,7 +696,7 @@ class Evaluation:
         if not delta:
             del self._pending[slot]
             self.worklist.remove(slot)
-        self._process(slot, single)
+        self._drain(1, slot, single)
 
     @property
     def items(self) -> tuple[TraceItem, ...]:
@@ -611,12 +717,7 @@ class Evaluation:
 
     def run(self) -> Evaluation:
         """Run to the fixpoint and return this evaluation, which holds the answers."""
-        # The pending map's keys are exactly the queued slots, and testing
-        # the map costs no call into Python code, unlike len(worklist).
-        pending, pop, process = self._pending, self.worklist.pop, self._process
-        while pending:
-            slot = pop()
-            process(slot, pending.pop(slot))
+        self._drain(-1)
         return self
 
     def _answer_sets(self) -> Iterator[tuple[int, str, VertexSet | None]]:
@@ -695,7 +796,8 @@ def results_tsv_groups(result: Evaluation) -> Iterator[str]:
     read from its derived-edge store in place. Groups come sorted by the
     unique key (source name, nonterminal), so the sort never compares
     targets, and within a group rows come by target name. A tuple or dict
-    group sorts its target names. A mask group filters the name-sorted vertex
+    group sorts its target names, unless it has one, which is written as
+    one row with no sort or join. A mask group filters the name-sorted vertex
     list by the mask's membership bytes; that list is built once per
     call, and only if a mask group shows up.
     """
@@ -712,8 +814,12 @@ def results_tsv_groups(result: Evaluation) -> Iterator[str]:
             if sorted_names is None:
                 sorted_names, in_name_order = _name_order(names)
             target_names = compress(sorted_names, in_name_order(_flags(targets).ljust(len(names), b"\0")))
-        else:
+        elif len(targets) > 1:
             target_names = sorted(map(names.__getitem__, targets))
+        else:
+            (target,) = targets
+            yield prefix + names[target] + "\n"
+            continue
         yield prefix + ("\n" + prefix).join(target_names) + "\n"
 
 

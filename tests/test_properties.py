@@ -6,7 +6,7 @@ from contextlib import contextmanager
 from itertools import accumulate, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfpq import engine
@@ -258,12 +258,35 @@ def test_every_step_keeps_each_delta_in_its_sets_container(grammar, graph, seed)
             slots, pairs = _masks(ev)
             while ev.step():
                 _assert_each_delta_has_its_sets_container(ev)
+                # a pair has derived edges only once its items are spawned
+                assert ev._derived.keys() <= ev.waiters.keys()
                 # no position set and no derived target set turns from a mask back into a dict
                 later_slots, later_pairs = _masks(ev)
                 assert slots <= later_slots
                 assert pairs <= later_pairs
                 slots, pairs = later_slots, later_pairs
         assert ev.answers == expected
+
+
+# Two runs where a one-vertex join meets a full tuple: under "mixed" the
+# first grows a position set past the bound, the second a derived target set.
+@example(bundled_grammar("ab_unambiguous"), gen_barabasi(5, 2, 1, ("a", "b")), 0)
+@example(bundled_grammar("ab_unambiguous"), gen_barabasi(5, 2, 0, ("a", "b")), 0)
+@settings(max_examples=40, deadline=None)
+@given(grammars(), graphs(), st.integers(0, 2**32 - 1))
+def test_every_set_of_a_run_keeps_its_containers_bounds(grammar, graph, seed):
+    """After a run, a tuple set has at most min(_TUPLE_LIMIT, limit) members, and a dict set more, up to limit."""
+    query = [(v, grammar.start) for v in graph.vertices()]
+    for limit_name, discipline in product(DICT_LIMITS, ("fifo", "lifo", "random")):
+        with _dict_limit(limit_name):
+            limit = engine._dict_limit(graph.vertex_count)
+            small = min(engine._TUPLE_LIMIT, limit)
+            result = evaluate(grammar, graph, query, discipline, seed)
+        for vertex_set in result._sets + list(result._derived.values()):
+            if vertex_set.__class__ is tuple:
+                assert len(vertex_set) <= small
+            elif vertex_set.__class__ is dict:
+                assert small < len(vertex_set) <= limit
 
 
 _vertex_ids = st.sets(st.integers(0, 80), max_size=12)
