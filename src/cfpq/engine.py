@@ -36,38 +36,37 @@ changes the run, not the fixpoint.
 
 Each vertex set of the run (position set, pending delta, derived
 targets) picks its own container, as Roaring bitmaps do per chunk: a
-tuple of vertex ids, a dict of int keys and None values, or an int
-bitmask. One rule, in ``_join``, serves every set: a set of at most
-``_TUPLE_LIMIT`` (8) members is a tuple, a larger one a dict up to
-``max(32, vertex_count >> 6)`` members, and a mask above that; a union
-with a mask is a mask, and a union with a dict is not a tuple, so a set
-only ever moves up that order. A delta has its position set's
-container, and a derived target set starts as the first delta that
-reaches it. Sets of one or two vertices take a tuple's few words rather
-than a dict's hash table, and on a dense run a union is one int OR, as
-in the Boolean-matrix formulation of CFPQ.
+tuple of vertex ids or an int bitmask. One rule, in ``_join``, serves
+every set: a set of at most ``max(32, vertex_count >> 6)`` members is a
+tuple and a larger one a mask, and a union with a mask is a mask, so a
+set only ever turns from a tuple into a mask. The bound is where the
+two cost the same memory: a tuple holds 8 bytes per member, a mask of V
+vertices V/8 bytes. A delta has its position set's container, and a
+derived target set starts as the first delta that reaches it. Sparse
+sets take a tuple's few words, and on a dense run a union is one int
+OR, as in the Boolean-matrix formulation of CFPQ.
 
 One worklist loop, ``Evaluation._drain``, runs every step, for
 ``run()``, ``step()`` and ``process_slot()`` alike, with the run's
-state bound once per call rather than once per step. It serves every
-container: a tuple or dict delta is walked vertex by vertex; a mask
-delta's members come from its low bits when it has at most
-``_TUPLE_LIMIT`` of them and are enumerated in C otherwise, and its
-terminal step ORs per-source successor masks, built once per label and
-source for the evaluation. A step passes on what it read: the masks as
-one mask, and a single successor set or derived target set as it is,
-so a set is built only to merge two reads. On a sparse run most joins
-add one vertex to a tuple or to no set yet. The loop does those joins
-itself, by ``_join``'s rule, as it does the last set's one-vertex join
-into a tuple target set; every other join goes through ``_join``.
+state bound once per call rather than once per step. It serves both
+containers: a tuple delta is walked vertex by vertex; a mask delta's
+members come from its low bits when it has at most ``_SMALL`` of them
+and are enumerated in C otherwise, and its terminal step ORs per-source
+successor masks, built once per label and source for the evaluation. A
+step passes on what it read: the masks as one mask, and a single
+successor set or derived target set as it is, so a set is built only to
+merge two reads. On a sparse run most joins add one vertex to a tuple
+or to no set yet. The loop does those joins itself, by ``_join``'s
+rule, while the union has at most ``_SMALL`` members, as it does the
+last set's one-vertex join into a tuple target set; every other join
+goes through ``_join``.
 
 The run's state is laid out for the cyclic garbage collector to skip:
-slots and (vertex, nonterminal) pairs are ints, waiter lists are dicts
-of int keys and None values, which the collector does not track, and so
-are the position sets, deltas and derived target sets held as dicts or
-masks; a tuple of ints is tracked when it is made and untracked by the
-first collection that sees it. An item is an entry in two flat lists
-until ``items`` builds it a view.
+slots and (vertex, nonterminal) pairs are ints, and waiter lists are
+dicts of int keys and None values, which the collector does not track,
+nor masks; a tuple of ints is tracked when it is made and untracked by
+the first collection that sees it. An item is an entry in two flat
+lists until ``items`` builds it a view.
 
 The finished run is the result: ``run()`` and ``evaluate`` return the
 ``Evaluation`` itself, and its answers are read from the derived-edge
@@ -94,20 +93,25 @@ from .graph import DataGraph
 DISCIPLINES = ("fifo", "lifo", "random")
 """The worklist pop orders, in the order ``cfpq check`` runs them."""
 
-VertexSet = tuple[int, ...] | dict[int, None] | int
-"""A vertex set of the run: a tuple of vertex ids, a dict of None values keyed by vertex, or an int mask."""
+VertexSet = tuple[int, ...] | int
+"""A vertex set of the run: a tuple of vertex ids or an int mask."""
 
 # Maps the digits of bin() to the bytes compress() reads as false and true.
 _DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _BIT = (1).__lshift__
 
 
-_TUPLE_LIMIT = 8
-"""The most members a vertex set holds as a tuple; a larger one is a dict or a mask."""
+_SMALL = 8
+"""The bound of the small-set paths.
+
+A mask of at most this many members gives them from its low bits, and
+the worklist loop joins into a tuple itself while the union stays
+within it.
+"""
 
 
-def _dict_limit(vertex_count: int) -> int:
-    """The most members a vertex set holds as a dict; a larger one is an int mask."""
+def _mask_limit(vertex_count: int) -> int:
+    """The most members a vertex set holds as a tuple; a larger one is an int mask."""
     return max(32, vertex_count >> 6)
 
 
@@ -119,11 +123,11 @@ def _flags(mask: int) -> bytes:
 def _members(mask: int) -> Iterable[int]:
     """The vertices of a mask, ascending.
 
-    A mask of at most ``_TUPLE_LIMIT`` members gives them from its low
+    A mask of at most ``_SMALL`` members gives them from its low
     bits, in a few steps each; a larger one has them enumerated in C
     from ``_flags``, a pass over the whole mask.
     """
-    if mask.bit_count() > _TUPLE_LIMIT:
+    if mask.bit_count() > _SMALL:
         return compress(count(), _flags(mask))
     members = []
     while mask:
@@ -176,7 +180,7 @@ class _SuccessorMasks:
             self._built |= missing
             self._sources |= _mask_of(sources)
         present = delta & self._sources
-        if present.bit_count() > _TUPLE_LIMIT:
+        if present.bit_count() > _SMALL:
             return reduce(or_, compress(self._masks, _flags(present)), 0)
         return reduce(or_, map(self._masks.__getitem__, _members(present)), 0)
 
@@ -190,17 +194,14 @@ def _vertices(vertex_set: VertexSet | None) -> Iterable[int]:
 
 def _join(
     seen: VertexSet | None, new: Collection[int] | int, limit: int
-) -> tuple[VertexSet, tuple[int, ...] | set[int] | int]:
+) -> tuple[VertexSet, VertexSet]:
     """The union of ``seen`` (None for no set yet) and ``new``, and the part of ``new`` not in ``seen``.
 
     The container rule of every vertex set of the run: the union is an
     int mask if either side is one or it has more than ``limit``
-    members; otherwise a dict if ``seen`` is one or the union has more
-    than ``_TUPLE_LIMIT`` members; and otherwise a tuple. So a set only
-    ever moves up from tuple to dict to mask. The fresh part is a mask
-    or a tuple when the union is, and a set when it is a dict. A dict
-    ``seen`` grows in place, key by key; ``new`` is only read, though it
-    may come back as the fresh part.
+    members, and a tuple otherwise, so a set only ever turns from a
+    tuple into a mask. The fresh part has the union's container.
+    ``new`` is only read, though it may come back as the fresh part.
     """
     if seen.__class__ is int or new.__class__ is int:
         if new.__class__ is not int:
@@ -211,30 +212,15 @@ def _join(
             seen = _mask_of(seen)
         return seen | new, new & ~seen
     if seen is None:
-        size = len(new)
-        if size <= _TUPLE_LIMIT and size <= limit:
-            # tuple() of a tuple is the tuple itself.
-            new = tuple(new)
-            return new, new
-        seen, fresh = {}, new if new.__class__ is set else set(new)
-    elif seen.__class__ is tuple:
-        fresh = (new if new.__class__ is set else set(new)).difference(seen)
-        size = len(seen) + len(fresh)
-        if size <= _TUPLE_LIMIT and size <= limit:
-            fresh = tuple(fresh)
-            return seen + fresh, fresh
-        seen = dict.fromkeys(seen)
-        if fresh.__class__ is not set:
-            fresh = set(fresh)
-    else:
-        # set.difference looks each new vertex up in ``seen``;
-        # ``new - seen.keys()`` would iterate all of ``seen``.
-        fresh = (new if new.__class__ is set else set(new)).difference(seen)
-    for vertex in fresh:
-        seen[vertex] = None
-    if len(seen) > limit:
-        return _mask_of(seen), _mask_of(fresh)
-    return seen, fresh
+        # tuple() of a tuple is the tuple itself.
+        new = tuple(new) if len(new) <= limit else _mask_of(new)
+        return new, new
+    fresh = (new if new.__class__ is set else set(new)).difference(seen)
+    if len(seen) + len(fresh) <= limit:
+        fresh = tuple(fresh)
+        return seen + fresh, fresh
+    fresh = _mask_of(fresh)
+    return _mask_of(seen) | fresh, fresh
 
 
 class TraceItem:
@@ -246,8 +232,8 @@ class TraceItem:
     ``sets`` and ``pending``. For a right-hand side of n symbols there
     are n+1 positions; position 0 holds only the origin, is not stored,
     and ``sets`` reports it as ``{origin: None}``. The stores hold each
-    set as a tuple, a dict or an int mask (see ``Evaluation``); ``sets``
-    and ``pending`` read all three alike.
+    set as a tuple or an int mask (see ``Evaluation``); ``sets`` and
+    ``pending`` read both alike.
     """
 
     __slots__ = ("production", "origin", "slot", "_sets", "_pending")
@@ -271,8 +257,7 @@ class TraceItem:
         """Per position, the position set as a dict keyed by vertex id; a mask's come ascending."""
         end = self.slot + len(self.production.rhs) + 1
         return [{self.origin: None}] + [
-            position_set if position_set.__class__ is dict else dict.fromkeys(_vertices(position_set))
-            for position_set in self._sets[self.slot + 1 : end]
+            dict.fromkeys(_vertices(position_set)) for position_set in self._sets[self.slot + 1 : end]
         ]
 
     @property
@@ -388,21 +373,20 @@ class Evaluation:
       (origin, nonterminal) keys and target sets;
     * ``worklist``: the slots whose delta is non-empty.
 
-    Each position set, delta and target set is a tuple of vertex ids, a
-    dict of None values or an int mask (bit v set for vertex v), by
-    ``_join``'s one rule: a set of at most ``_TUPLE_LIMIT`` members is a
-    tuple, a larger one a dict, and one of more than
-    ``_dict_limit(vertex_count)`` members a mask. A slot's delta has the
-    container of its position set (at position 0, of a set of one), a
-    target set starts as the first delta that reaches it, and a set only
-    ever moves up from tuple to dict to mask.
+    Each position set, delta and target set is a tuple of vertex ids or
+    an int mask (bit v set for vertex v), by ``_join``'s one rule: a set
+    of at most ``_mask_limit(vertex_count)`` members is a tuple, and a
+    larger one a mask. A slot's delta has the container of its
+    position set (at position 0, of a set of one), a target set starts
+    as the first delta that reaches it, and a set only ever turns from a
+    tuple into a mask.
 
     ``run()``, ``step()`` and ``process_slot()`` share one loop,
     ``_drain``: run drains the worklist, step pops one slot, and
     process_slot hands the loop a delta of one vertex. The loop itself
     joins a new part into no set yet, or one new vertex into a tuple,
-    when the union stays within ``min(_TUPLE_LIMIT, limit)`` members;
-    every other join calls ``_insert``.
+    when the union stays within ``min(_SMALL, limit)`` members; every
+    other join calls ``_insert``.
     """
 
     def __init__(
@@ -426,7 +410,7 @@ class Evaluation:
         self._sets: list[VertexSet | None] = []
         self._pending: dict[int, VertexSet] = {}
         self._derived: dict[int, VertexSet] = {}
-        self._limit = _dict_limit(graph.vertex_count)
+        self._limit = _mask_limit(graph.vertex_count)
         # Per label, the successor masks of the sources mask steps have read.
         self._successor_masks: dict[str, _SuccessorMasks] = {}
         self._width = grammar.max_rhs_len + 1
@@ -440,11 +424,14 @@ class Evaluation:
         # The caller's pairs, first occurrence kept; tuple() of a tuple is
         # the tuple itself, so no pair is copied.
         self.query = tuple(dict.fromkeys(map(tuple, query)))
-        for vertex, nonterminal in self.query:
+        for pair in self.query:
+            if len(pair) != 2:
+                raise InvalidParams(f"query pair {pair!r} is not a (vertex, nonterminal) pair")
+            vertex, nonterminal = pair
             if nonterminal not in grammar.nonterminals:
                 raise UnknownNonterminal(f"queried symbol {nonterminal!r} is not a nonterminal")
-            if not 0 <= vertex < graph.vertex_count:
-                raise UnknownVertex(f"queried vertex {vertex} out of range")
+            if vertex.__class__ is not int or not 0 <= vertex < graph.vertex_count:
+                raise UnknownVertex(f"queried vertex {vertex!r} is not a vertex id of the graph")
             self._spawn(vertex * len(self._nonterminals) + self._number[nonterminal])
 
     def _spawn(self, key: int) -> None:
@@ -453,15 +440,14 @@ class Evaluation:
         self.waiters[key] = {}
         rules = self._rules[number]
         blank = [None] * self._width
-        # _join's rule for a set of one member. The pair's items share a
-        # tuple, but not a dict, which process_slot changes in place.
-        one = 1 << origin if self._limit < 1 else (origin,) if _TUPLE_LIMIT >= 1 else None
+        # _join's rule for a set of one member; the pair's items share it.
+        one = (origin,) if self._limit >= 1 else 1 << origin
         for rule in rules:
             slot = len(self._sets)
             self._item_rules.append(rule)
             self._origins.append(origin)
             self._sets += blank
-            self._pending[slot] = one or {origin: None}
+            self._pending[slot] = one
             self.worklist.push(slot)
         self.stats.items_created += len(rules)
         self.stats.insertions += len(rules)
@@ -475,38 +461,22 @@ class Evaluation:
         """
         self._sets[slot], fresh = _join(self._sets[slot], new, self._limit)
         pending = self._pending
-        if fresh.__class__ is int:
-            delta = pending.get(slot)
-            if delta is not None and delta.__class__ is not int:
-                # The set has just turned into a mask, so its delta turns
-                # too, even when nothing in ``new`` was fresh.
-                delta = pending[slot] = _mask_of(delta)
-            if not fresh:
-                return
-            self.stats.insertions += fresh.bit_count()
-            if delta is not None:
-                pending[slot] = delta | fresh
-                return
+        delta = pending.get(slot)
+        is_mask = fresh.__class__ is int
+        if is_mask and delta.__class__ is tuple:
+            # The set has just turned into a mask, so its delta turns too,
+            # even when nothing in ``new`` was fresh.
+            delta = pending[slot] = _mask_of(delta)
+        if not fresh:
+            return
+        self.stats.insertions += fresh.bit_count() if is_mask else len(fresh)
+        if delta is None:
+            pending[slot] = fresh
+            self.worklist.push(slot)
         else:
-            if not fresh:
-                return
-            self.stats.insertions += len(fresh)
-            delta = pending.get(slot)
-            if fresh.__class__ is tuple:
-                if delta is not None:
-                    pending[slot] = delta + fresh
-                    return
-            else:
-                # A set: the position set is a dict, and so is the delta.
-                fresh = dict.fromkeys(fresh)
-                if delta.__class__ is tuple:
-                    # The set has just turned from a tuple into a dict.
-                    delta = pending[slot] = dict.fromkeys(delta)
-                if delta is not None:
-                    delta.update(fresh)
-                    return
-        pending[slot] = fresh
-        self.worklist.push(slot)
+            # The fresh part is disjoint from the delta, which is part of
+            # the set, so + appends to a tuple and ORs into a mask alike.
+            pending[slot] = delta + fresh
 
     def _drain(self, steps: int, slot: int = 0, delta: VertexSet | None = None) -> None:
         """The worklist loop: process up to ``steps`` deltas (-1: until the worklist is empty).
@@ -523,8 +493,9 @@ class Evaluation:
         push, pop, take = self.worklist.push, self.worklist.pop, pending.pop
         insert, spawn = self._insert, self._spawn
         width, pair_width, limit = self._width, len(self._nonterminals), self._limit
-        # The most members a join below builds as a tuple, by _join's rule.
-        small = min(_TUPLE_LIMIT, limit)
+        # The most members a join done in the loop below builds as a tuple;
+        # a larger union goes to _insert.
+        small = min(_SMALL, limit)
         handed, delta = delta, None
         pops = insertions = edges = 0
         try:
@@ -608,10 +579,8 @@ class Evaluation:
                     if targets is None:
                         # The first delta is handed over as the target set,
                         # not copied: a copy per derived pair costs time and
-                        # peak RSS. _join reads a dict through a set copy, so
-                        # one copy here serves every waiter.
-                        derived[key] = delta
-                        new = set(delta) if delta.__class__ is dict else delta
+                        # peak RSS.
+                        derived[key] = new = delta
                     elif (
                         targets.__class__ is tuple
                         and delta.__class__ is tuple
@@ -623,7 +592,7 @@ class Evaluation:
                         derived[key] = targets + delta
                         new = delta
                     else:
-                        derived[key], new = _join(targets, set(delta) if delta.__class__ is dict else delta, limit)
+                        derived[key], new = _join(targets, delta, limit)
                         if not new:
                             continue
                     edges += new.bit_count() if new.__class__ is int else len(new)
@@ -687,12 +656,9 @@ class Evaluation:
         if delta.__class__ is int:
             single = 1 << vertex
             delta = self._pending[slot] = delta ^ single
-        elif delta.__class__ is tuple:
+        else:
             single = (vertex,)
             delta = self._pending[slot] = tuple(other for other in delta if other != vertex)
-        else:
-            single = {vertex: None}
-            del delta[vertex]
         if not delta:
             del self._pending[slot]
             self.worklist.remove(slot)
@@ -795,8 +761,8 @@ def results_tsv_groups(result: Evaluation) -> Iterator[str]:
     ``result`` is a finished ``Evaluation``; its query pairs' targets are
     read from its derived-edge store in place. Groups come sorted by the
     unique key (source name, nonterminal), so the sort never compares
-    targets, and within a group rows come by target name. A tuple or dict
-    group sorts its target names, unless it has one, which is written as
+    targets, and within a group rows come by target name. A tuple group
+    sorts its target names, unless it has one, which is written as
     one row with no sort or join. A mask group filters the name-sorted vertex
     list by the mask's membership bytes; that list is built once per
     call, and only if a mask group shows up.

@@ -156,6 +156,20 @@ def test_query_validation(nesting_grammar, loop_graph):
         Evaluation(nesting_grammar, loop_graph, [(99, "S")])
 
 
+@pytest.mark.parametrize(
+    "pair, error",
+    [
+        ((1.5, "S"), UnknownVertex),
+        ((1.0, "S"), UnknownVertex),
+        (("1", "S"), UnknownVertex),
+        ((1, "S", 3), InvalidParams),
+    ],
+)
+def test_a_malformed_query_pair_is_a_cfpq_error(nesting_grammar, loop_graph, pair, error):
+    with pytest.raises(error):
+        evaluate(nesting_grammar, loop_graph, [pair])
+
+
 def test_empty_query_is_a_no_op(nesting_grammar, loop_graph):
     result = evaluate(nesting_grammar, loop_graph, [])
     assert result.answers == {}
@@ -183,7 +197,7 @@ def _assert_the_run_is_its_own_result(grammar, graph, query):
 
 def test_the_run_is_its_own_result(nesting_grammar, loop_graph):
     _assert_the_run_is_its_own_result(nesting_grammar, loop_graph, _example_query(loop_graph))
-    # a hierarchy whose sets pass the dict limit, so masks are read too
+    # a hierarchy whose sets pass the mask limit, so masks are read too
     graph = with_inverses(gen_barabasi(200, 3, seed=1, labels=("subClassOf", "type")))
     grammar = bundled_grammar("sc_t")
     _assert_the_run_is_its_own_result(grammar, graph, [(v, grammar.start) for v in graph.vertices()])
@@ -416,7 +430,7 @@ def test_answers_are_successor_lookups(nesting_grammar, loop_graph):
 
 def test_answers_are_built_from_the_store():
     grammar = bundled_grammar("sc_t")
-    # sets of this hierarchy pass the dict limit, so answers come from masks too
+    # sets of this hierarchy pass the mask limit, so answers come from masks too
     graph = with_inverses(gen_barabasi(200, 3, seed=1, labels=("subClassOf", "type")))
     query = [(v, grammar.start) for v in graph.vertices()]
     result = Evaluation(grammar, graph, query).run()
@@ -472,11 +486,11 @@ def test_worklist_disciplines():
 
 def test_run_state_is_not_tracked_by_the_garbage_collector():
     sparse = (bundled_grammar("ab_ambiguous"), gen_barabasi(40, 3, seed=2, labels=("a", "b")))
-    # sets of this hierarchy pass the dict limit, so the run holds masks too
+    # sets of this hierarchy pass the mask limit, so the run holds masks too
     dense = (bundled_grammar("sc_t"), with_inverses(gen_barabasi(200, 3, seed=1, labels=("subClassOf", "type"))))
 
     def untracked(vertex_sets, tuples):
-        """No set of the given kind is tracked: dicts and masks never are, a tuple of ints not once collected."""
+        """No set of the given kind is tracked: masks never are, a tuple of ints not once collected."""
         return not any(gc.is_tracked(s) for s in vertex_sets if (s.__class__ is tuple) is tuples)
 
     for grammar, graph in (sparse, dense):
@@ -504,32 +518,29 @@ def test_run_state_is_not_tracked_by_the_garbage_collector():
         gc.collect(0)
         assert untracked(ev._sets, tuples=True)
         assert untracked(ev._derived.values(), tuples=True)
-    assert {s.__class__ for s in ev._sets if s is not None} == {tuple, dict, int}
+    assert {s.__class__ for s in ev._sets if s is not None} == {tuple, int}
     assert int in {targets.__class__ for targets in ev._derived.values()}
 
 
-def test_a_mask_with_nothing_fresh_still_turns_a_dict_set_and_its_delta(nesting_grammar, loop_graph, monkeypatch):
-    for tuple_limit, one in ((0, {0: None}), (engine._TUPLE_LIMIT, (0,))):
-        # a tuple bound of 0 holds a set of one as a dict, the default as a tuple
-        monkeypatch.setattr(engine, "_TUPLE_LIMIT", tuple_limit)
-        ev = Evaluation(nesting_grammar, loop_graph, [(0, "S")])
-        slot = ev.items[0].slot + 1
-        ev._insert(slot, {0})
-        assert ev._sets[slot] == one
-        assert ev._pending[slot] == one
-        insertions = ev.stats.insertions
-        ev._insert(slot, 1 << 0)
-        # a union with a mask is a mask, and the delta keeps its set's container
-        assert ev._sets[slot] == 1 << 0
-        assert ev._pending[slot] == 1 << 0
-        assert ev.stats.insertions == insertions
-
-
-def test_a_set_growing_by_one_vertex_moves_from_tuple_to_dict_to_mask(nesting_grammar, loop_graph):
+def test_a_mask_with_nothing_fresh_still_turns_a_tuple_set_and_its_delta(nesting_grammar, loop_graph):
     ev = Evaluation(nesting_grammar, loop_graph, [(0, "S")])
     slot = ev.items[0].slot + 1
-    limit = engine._dict_limit(loop_graph.vertex_count)
-    order = (tuple, dict, int)
+    ev._insert(slot, {0})
+    assert ev._sets[slot] == (0,)
+    assert ev._pending[slot] == (0,)
+    insertions = ev.stats.insertions
+    ev._insert(slot, 1 << 0)
+    # a union with a mask is a mask, and the delta keeps its set's container
+    assert ev._sets[slot] == 1 << 0
+    assert ev._pending[slot] == 1 << 0
+    assert ev.stats.insertions == insertions
+
+
+def test_a_set_growing_by_one_vertex_moves_from_tuple_to_mask(nesting_grammar, loop_graph):
+    ev = Evaluation(nesting_grammar, loop_graph, [(0, "S")])
+    slot = ev.items[0].slot + 1
+    limit = engine._mask_limit(loop_graph.vertex_count)
+    order = (tuple, int)
     rank = 0
     insertions = ev.stats.insertions
     for vertex in range(limit + 4):
@@ -541,9 +552,20 @@ def test_a_set_growing_by_one_vertex_moves_from_tuple_to_dict_to_mask(nesting_gr
         assert order.index(position_set.__class__) >= rank
         rank = order.index(position_set.__class__)
         size = vertex + 1
-        assert position_set.__class__ is (tuple if size <= engine._TUPLE_LIMIT else dict if size <= limit else int)
-    assert rank == 2
+        assert position_set.__class__ is (tuple if size <= limit else int)
+    assert rank == 1
     assert ev.stats.insertions == insertions + limit + 4
+
+
+def test_the_mixed_container_graph_holds_tuples_and_masks():
+    # CI's mixed-container differential check runs this query; it is worth
+    # its time only while the run holds both containers.
+    grammar = bundled_grammar("ab_unambiguous")
+    graph = gen_barabasi(2000, 3, seed=1, labels=("a", "b"))
+    result = evaluate(grammar, graph, [(v, grammar.start) for v in graph.vertices()])
+    assert {s.__class__ for s in result._sets if s is not None} == {tuple, int}
+    assert {targets.__class__ for targets in result._derived.values()} == {tuple, int}
+    assert result.answer_count == 23025
 
 
 def test_an_a_n_b_n_chain_holds_every_set_as_a_tuple():
@@ -562,8 +584,8 @@ def test_an_a_n_b_n_chain_holds_every_set_as_a_tuple():
 def test_mask_members_ascend_like_a_sorted_set():
     rng = random.Random(7)
     samples = [set(), {0}, {4000}] + [set(rng.sample(range(5000), rng.randrange(1, 300))) for _ in range(40)]
-    # sizes on both sides of the tuple bound, up to which members come from the low bits
-    samples += [set(rng.sample(range(5000), size)) for size in range(1, engine._TUPLE_LIMIT + 3)]
+    # sizes on both sides of the bound up to which members come from the low bits
+    samples += [set(rng.sample(range(5000), size)) for size in range(1, engine._SMALL + 3)]
     samples += [{v for v in range(3000) if bits >> v & 1} for bits in (rng.getrandbits(3000) for _ in range(20))]
     for vertices in samples:
         mask = engine._mask_of(vertices)

@@ -30,27 +30,24 @@ from cfpq import (
 
 from conftest import bundled_grammar
 
-# The engine's container bounds, swept as (tuple bound, dict limit): every
-# set a mask, every set a dict, every set a tuple, sets of one member as
-# tuples, of two as dicts and of more as masks (all three containers meet),
-# and the defaults, under which the small graphs drawn here hold every set
-# as a tuple.
-DICT_LIMITS = {
-    "masks": (engine._TUPLE_LIMIT, lambda vertex_count: -1),
-    "dicts": (0, lambda vertex_count: 1 << 62),
-    "tuples": (1 << 62, lambda vertex_count: 1 << 62),
-    "mixed": (1, lambda vertex_count: 2),
-    "default": (engine._TUPLE_LIMIT, engine._dict_limit),
+# The engine's mask limit, swept: every set a mask, every set a tuple,
+# sets of up to two members as tuples and of more as masks (both
+# containers meet, and the limit is the loop's own bound for joining one
+# vertex into a tuple), and the default, under which the small graphs
+# drawn here hold every set as a tuple.
+MASK_LIMITS = {
+    "masks": lambda vertex_count: -1,
+    "tuples": lambda vertex_count: 1 << 62,
+    "mixed": lambda vertex_count: 2,
+    "default": engine._mask_limit,
 }
 
 
 @contextmanager
-def _dict_limit(name: str):
-    """Patch the named entry of DICT_LIMITS into the engine."""
-    tuple_limit, dict_limit = DICT_LIMITS[name]
+def _mask_limit(name: str):
+    """Patch the named entry of MASK_LIMITS into the engine."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "_TUPLE_LIMIT", tuple_limit)
-        patch.setattr(engine, "_dict_limit", dict_limit)
+        patch.setattr(engine, "_mask_limit", MASK_LIMITS[name])
         yield
 
 
@@ -125,8 +122,8 @@ def test_engine_agrees_with_reference_and_itself(grammar, graph):
 
     before = input_snapshot()
     renderings, counters = set(), set()
-    for limit, (discipline, seed) in product(DICT_LIMITS, (("fifo", 0), ("lifo", 0), ("random", 0), ("random", 9))):
-        with _dict_limit(limit):
+    for limit, (discipline, seed) in product(MASK_LIMITS, (("fifo", 0), ("lifo", 0), ("random", 0), ("random", 9))):
+        with _mask_limit(limit):
             result = evaluate(grammar, graph, query, discipline, seed)
         # the input graph is only read, never written
         assert input_snapshot() == before
@@ -138,9 +135,6 @@ def test_engine_agrees_with_reference_and_itself(grammar, graph):
         if limit == "masks":
             assert containers <= {int}
             assert derived_containers <= {int}
-        elif limit == "dicts":
-            assert containers <= {dict}
-            assert derived_containers <= {dict}
         elif limit == "tuples":
             assert containers <= {tuple}
             assert derived_containers <= {tuple}
@@ -174,9 +168,13 @@ def _assert_each_delta_has_its_sets_container(ev):
     """The queued slots are those with a delta, each non-empty and of its position set's container.
 
     Position 0 stores no set: its delta holds exactly the item's origin.
+    Every set, delta and derived target set is a tuple or a mask.
     """
+    assert {s.__class__ for s in ev._sets if s is not None} <= {tuple, int}
+    assert {targets.__class__ for targets in ev._derived.values()} <= {tuple, int}
     assert sorted(ev.worklist) == sorted(ev._pending)
     for slot, delta in ev._pending.items():
+        assert delta.__class__ in (tuple, int)
         assert delta
         index, position = divmod(slot, ev._width)
         if position == 0:
@@ -197,8 +195,8 @@ def _assert_position_0_holds_only_the_origin(ev):
 @given(grammars(), graphs())
 def test_position_0_is_the_origin_and_not_a_stored_set(grammar, graph):
     query = [(v, grammar.start) for v in graph.vertices()]
-    for limit in DICT_LIMITS:
-        with _dict_limit(limit):
+    for limit in MASK_LIMITS:
+        with _mask_limit(limit):
             ev = Evaluation(grammar, graph, query)
             _assert_position_0_holds_only_the_origin(ev)
             while ev.step():
@@ -213,8 +211,8 @@ def test_one_vertex_stepping_reaches_the_same_fixpoint(grammar, graph, seed):
     query = [(v, grammar.start) for v in graph.vertices()]
     table = fixpoint_relations(grammar, graph)
     expected = {(v, grammar.start): oracle_eval(table, v, grammar.start) for v in graph.vertices()}
-    for limit in DICT_LIMITS:
-        with _dict_limit(limit):
+    for limit in MASK_LIMITS:
+        with _mask_limit(limit):
             ev = Evaluation(grammar, graph, query)
             rng = random.Random(seed)
             while True:
@@ -251,8 +249,8 @@ def _masks(ev):
 def test_every_step_keeps_each_delta_in_its_sets_container(grammar, graph, seed):
     query = [(v, grammar.start) for v in graph.vertices()]
     expected = evaluate(grammar, graph, query).answers
-    for limit, discipline in product(DICT_LIMITS, ("fifo", "lifo", "random")):
-        with _dict_limit(limit):
+    for limit, discipline in product(MASK_LIMITS, ("fifo", "lifo", "random")):
+        with _mask_limit(limit):
             ev = Evaluation(grammar, graph, query, discipline, seed)
             _assert_each_delta_has_its_sets_container(ev)
             slots, pairs = _masks(ev)
@@ -260,7 +258,7 @@ def test_every_step_keeps_each_delta_in_its_sets_container(grammar, graph, seed)
                 _assert_each_delta_has_its_sets_container(ev)
                 # a pair has derived edges only once its items are spawned
                 assert ev._derived.keys() <= ev.waiters.keys()
-                # no position set and no derived target set turns from a mask back into a dict
+                # no position set and no derived target set turns from a mask back into a tuple
                 later_slots, later_pairs = _masks(ev)
                 assert slots <= later_slots
                 assert pairs <= later_pairs
@@ -269,24 +267,23 @@ def test_every_step_keeps_each_delta_in_its_sets_container(grammar, graph, seed)
 
 
 # Two runs where a one-vertex join meets a full tuple: under "mixed" the
-# first grows a position set past the bound, the second a derived target set.
-@example(bundled_grammar("ab_unambiguous"), gen_barabasi(5, 2, 1, ("a", "b")), 0)
-@example(bundled_grammar("ab_unambiguous"), gen_barabasi(5, 2, 0, ("a", "b")), 0)
+# first grows a position set past the limit, the second a derived target set.
+@example(bundled_grammar("ab_unambiguous"), gen_barabasi(3, 3, 3, ("a", "b")), 0)
+@example(bundled_grammar("ab_unambiguous"), gen_barabasi(3, 3, 4, ("a", "b")), 0)
 @settings(max_examples=40, deadline=None)
 @given(grammars(), graphs(), st.integers(0, 2**32 - 1))
 def test_every_set_of_a_run_keeps_its_containers_bounds(grammar, graph, seed):
-    """After a run, a tuple set has at most min(_TUPLE_LIMIT, limit) members, and a dict set more, up to limit."""
+    """After a run, every set is a tuple of at most limit members or a mask."""
     query = [(v, grammar.start) for v in graph.vertices()]
-    for limit_name, discipline in product(DICT_LIMITS, ("fifo", "lifo", "random")):
-        with _dict_limit(limit_name):
-            limit = engine._dict_limit(graph.vertex_count)
-            small = min(engine._TUPLE_LIMIT, limit)
+    for limit_name, discipline in product(MASK_LIMITS, ("fifo", "lifo", "random")):
+        with _mask_limit(limit_name):
+            limit = engine._mask_limit(graph.vertex_count)
             result = evaluate(grammar, graph, query, discipline, seed)
         for vertex_set in result._sets + list(result._derived.values()):
             if vertex_set.__class__ is tuple:
-                assert len(vertex_set) <= small
-            elif vertex_set.__class__ is dict:
-                assert small < len(vertex_set) <= limit
+                assert len(vertex_set) <= limit
+            else:
+                assert vertex_set is None or vertex_set.__class__ is int
 
 
 _vertex_ids = st.sets(st.integers(0, 80), max_size=12)
@@ -294,9 +291,9 @@ _vertex_ids = st.sets(st.integers(0, 80), max_size=12)
 
 @st.composite
 def _stored_sets(draw):
-    """A vertex set as the run stores it: None for none yet, a tuple, a dict, or a mask."""
+    """A vertex set as the run stores it: None for none yet, a tuple, or a mask."""
     vertices = draw(_vertex_ids)
-    return draw(st.sampled_from((None, tuple(vertices), dict.fromkeys(vertices), engine._mask_of(vertices))))
+    return draw(st.sampled_from((None, tuple(vertices), engine._mask_of(vertices))))
 
 
 _NEW_CONTAINERS = {"set": set, "tuple": tuple, "mask": engine._mask_of}
@@ -311,18 +308,11 @@ def test_join_keeps_one_container_rule(seen, new_vertices, new_container, limit)
     assert set(engine._vertices(union)) == before | new_vertices
     assert set(engine._vertices(fresh)) == new_vertices - before
     size = len(before | new_vertices)
-    # a mask if either side is one or the union has more than limit members;
-    # else a dict if seen is one or the union has more than the tuple bound;
-    # else a tuple
-    if seen.__class__ is int or new_container == "mask" or size > limit:
-        container, fresh_container = int, int
-    elif seen.__class__ is dict or size > engine._TUPLE_LIMIT:
-        container, fresh_container = dict, set
-    else:
-        container, fresh_container = tuple, tuple
+    # a mask if either side is one or the union has more than limit members, else a tuple
+    container = int if seen.__class__ is int or new_container == "mask" or size > limit else tuple
     assert union.__class__ is container
-    # the fresh part is a mask or a tuple exactly when the union is, and a set otherwise
-    assert fresh.__class__ is fresh_container
+    # the fresh part has the union's container
+    assert fresh.__class__ is container
     if container is tuple:
         # a tuple lists each member once, the old ones first
         assert union == tuple(engine._vertices(seen)) + fresh
@@ -381,8 +371,8 @@ def named_hierarchies(draw) -> DataGraph:
 
 def _check_results_tsv_against_the_row_sort(graph, query):
     grammar = bundled_grammar("sc")  # S and B: a source's S and B answers are two groups
-    for limit, discipline in product(DICT_LIMITS, ("fifo", "lifo", "random")):
-        with _dict_limit(limit):
+    for limit, discipline in product(MASK_LIMITS, ("fifo", "lifo", "random")):
+        with _mask_limit(limit):
             result = evaluate(grammar, graph, query, discipline)
         assert results_tsv(result) == _results_tsv_by_rows(result)
 
@@ -402,7 +392,7 @@ def test_results_tsv_of_a_one_vertex_graph():
     graph.add_edge(graph.intern("x"), "subClassOf", graph.intern("x"))
     graph.add_edge(0, "subClassOf^-1", 0)
     _check_results_tsv_against_the_row_sort(graph, [(0, "S"), (0, "B")])
-    with _dict_limit("masks"):
+    with _mask_limit("masks"):
         assert results_tsv(evaluate(bundled_grammar("sc"), graph, [(0, "S")])) == "x\tS\tx\n"
 
 
