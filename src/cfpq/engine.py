@@ -55,11 +55,12 @@ and are enumerated in C otherwise, and its terminal step ORs per-source
 successor masks, built once per label and source for the evaluation. A
 step passes on what it read: the masks as one mask, and a single
 successor set or derived target set as it is, so a set is built only to
-merge two reads. On a sparse run most joins add one vertex to a tuple
-or to no set yet. The loop does those joins itself, by ``_join``'s
-rule, while the union has at most ``_SMALL`` members, as it does the
-last set's one-vertex join into a tuple target set; every other join
-goes through ``_join``.
+merge two reads, and a mask read takes the step's other reads into it.
+A position set and its delta grow at one site, the loop's receiver join.
+On a sparse run most joins store a part into no set yet or add one
+vertex to a tuple; the loop does those itself, while the tuple has
+fewer than ``_mask_limit`` members, as it does the last set's one-vertex
+join into a tuple target set. Every other join calls ``_join``.
 
 The run's state is laid out for the cyclic garbage collector to skip:
 slots and (vertex, nonterminal) pairs are ints, and waiter lists are
@@ -102,12 +103,7 @@ _BIT = (1).__lshift__
 
 
 _SMALL = 8
-"""The bound of the small-set paths.
-
-A mask of at most this many members gives them from its low bits, and
-the worklist loop joins into a tuple itself while the union stays
-within it.
-"""
+"""The most members a mask gives from its low bits rather than from ``_flags``."""
 
 
 def _mask_limit(vertex_count: int) -> int:
@@ -192,30 +188,21 @@ def _vertices(vertex_set: VertexSet | None) -> Iterable[int]:
     return vertex_set or ()
 
 
-def _join(
-    seen: VertexSet | None, new: Collection[int] | int, limit: int
-) -> tuple[VertexSet, VertexSet]:
-    """The union of ``seen`` (None for no set yet) and ``new``, and the part of ``new`` not in ``seen``.
+def _join(seen: VertexSet, new: VertexSet, limit: int) -> tuple[VertexSet, VertexSet]:
+    """The union of ``seen`` and ``new``, and the part of ``new`` not in ``seen``.
 
     The container rule of every vertex set of the run: the union is an
     int mask if either side is one or it has more than ``limit``
     members, and a tuple otherwise, so a set only ever turns from a
     tuple into a mask. The fresh part has the union's container.
-    ``new`` is only read, though it may come back as the fresh part.
     """
     if seen.__class__ is int or new.__class__ is int:
         if new.__class__ is not int:
             new = _mask_of(new)
-        if seen is None:
-            return new, new
         if seen.__class__ is not int:
             seen = _mask_of(seen)
         return seen | new, new & ~seen
-    if seen is None:
-        # tuple() of a tuple is the tuple itself.
-        new = tuple(new) if len(new) <= limit else _mask_of(new)
-        return new, new
-    fresh = (new if new.__class__ is set else set(new)).difference(seen)
+    fresh = set(new).difference(seen)
     if len(seen) + len(fresh) <= limit:
         fresh = tuple(fresh)
         return seen + fresh, fresh
@@ -383,10 +370,11 @@ class Evaluation:
 
     ``run()``, ``step()`` and ``process_slot()`` share one loop,
     ``_drain``: run drains the worklist, step pops one slot, and
-    process_slot hands the loop a delta of one vertex. The loop itself
-    joins a new part into no set yet, or one new vertex into a tuple,
-    when the union stays within ``min(_SMALL, limit)`` members; every
-    other join calls ``_insert``.
+    process_slot hands the loop a delta of one vertex. Every position
+    set and its delta grow at the loop's one receiver join: it stores a
+    new part into no set yet, and adds one new vertex to a tuple of
+    fewer than ``_mask_limit`` members, itself; every other join calls
+    ``_join``.
     """
 
     def __init__(
@@ -423,7 +411,11 @@ class Evaluation:
 
         # The caller's pairs, first occurrence kept; tuple() of a tuple is
         # the tuple itself, so no pair is copied.
-        self.query = tuple(dict.fromkeys(map(tuple, query)))
+        try:
+            self.query = tuple(dict.fromkeys(map(tuple, query)))
+        except TypeError as error:
+            # A pair that is not iterable, or holds an unhashable value.
+            raise InvalidParams(f"the query is not a list of (vertex, nonterminal) pairs: {error}") from None
         for pair in self.query:
             if len(pair) != 2:
                 raise InvalidParams(f"query pair {pair!r} is not a (vertex, nonterminal) pair")
@@ -452,32 +444,6 @@ class Evaluation:
         self.stats.items_created += len(rules)
         self.stats.insertions += len(rules)
 
-    def _insert(self, slot: int, new: Collection[int] | int) -> None:
-        """Add ``new`` to a position set; its fresh part joins the slot's delta.
-
-        ``new`` is only read, never kept, so callers may pass a set they
-        go on using. ``_join`` picks the position set's container, and the
-        delta takes the same one.
-        """
-        self._sets[slot], fresh = _join(self._sets[slot], new, self._limit)
-        pending = self._pending
-        delta = pending.get(slot)
-        is_mask = fresh.__class__ is int
-        if is_mask and delta.__class__ is tuple:
-            # The set has just turned into a mask, so its delta turns too,
-            # even when nothing in ``new`` was fresh.
-            delta = pending[slot] = _mask_of(delta)
-        if not fresh:
-            return
-        self.stats.insertions += fresh.bit_count() if is_mask else len(fresh)
-        if delta is None:
-            pending[slot] = fresh
-            self.worklist.push(slot)
-        else:
-            # The fresh part is disjoint from the delta, which is part of
-            # the set, so + appends to a tuple and ORs into a mask alike.
-            pending[slot] = delta + fresh
-
     def _drain(self, steps: int, slot: int = 0, delta: VertexSet | None = None) -> None:
         """The worklist loop: process up to ``steps`` deltas (-1: until the worklist is empty).
 
@@ -491,11 +457,8 @@ class Evaluation:
         item_rules, origins, graph_index = self._item_rules, self._origins, self.graph.index
         successor_masks, vertex_count = self._successor_masks, self.graph.vertex_count
         push, pop, take = self.worklist.push, self.worklist.pop, pending.pop
-        insert, spawn = self._insert, self._spawn
+        spawn = self._spawn
         width, pair_width, limit = self._width, len(self._nonterminals), self._limit
-        # The most members a join done in the loop below builds as a tuple;
-        # a larger union goes to _insert.
-        small = min(_SMALL, limit)
         handed, delta = delta, None
         pops = insertions = edges = 0
         try:
@@ -563,13 +526,16 @@ class Evaluation:
                                         new, merged = set(new), True
                                         new.update(targets)
                             waiting[slot + 1] = None
-                    # The mask goes in first: once the next set is a mask,
-                    # the other reads join it as one more mask rather than
-                    # key by key.
+                    # The reads join the next set as one: with a mask read, as
+                    # a mask. A set (the graph's, or a merge of reads) turns
+                    # into the tuple or mask _join's rule gives its size; a
+                    # target set already is one.
                     if mask:
-                        insert(slot + 1, mask)
-                    if not new:
+                        new = mask | _mask_of(new) if new else mask
+                    elif not new:
                         continue
+                    elif new.__class__ is set:
+                        new = tuple(new) if len(new) <= limit else _mask_of(new)
                     receivers = (slot + 1,)
                 else:
                     # Last set: the origin reaches these vertices along the
@@ -585,7 +551,7 @@ class Evaluation:
                         targets.__class__ is tuple
                         and delta.__class__ is tuple
                         and len(delta) == 1
-                        and len(targets) < small
+                        and len(targets) < limit
                     ):
                         if delta[0] in targets:
                             continue
@@ -597,35 +563,39 @@ class Evaluation:
                             continue
                     edges += new.bit_count() if new.__class__ is int else len(new)
                     receivers = waiters[key]
-                # Join ``new`` into each receiving set. While the set stays
-                # a tuple the join is done here, with what _insert does for
-                # a tuple; every other join is _insert's.
-                if new.__class__ is int or len(new) > small:
-                    for receiver in receivers:
-                        insert(receiver, new)
-                    continue
-                size = len(new)
-                fresh = new if new.__class__ is tuple else tuple(new)
+                # Join ``new`` into each receiving set, the one place a set
+                # and its delta grow. A join into no set yet, and of one
+                # vertex into a tuple below the limit, is done here, with
+                # _join's outcome; every other join is _join's.
+                one = new.__class__ is tuple and len(new) == 1
                 for receiver in receivers:
                     seen = sets[receiver]
                     if seen is None:
                         # No set, so no delta either.
-                        sets[receiver] = pending[receiver] = fresh
-                        push(receiver)
-                        insertions += size
-                    elif seen.__class__ is tuple and size == 1 and len(seen) < small:
-                        if fresh[0] in seen:
+                        sets[receiver] = fresh = new
+                    elif one and seen.__class__ is tuple and len(seen) < limit:
+                        if new[0] in seen:
                             continue
-                        sets[receiver] = seen + fresh
-                        queued = pending.get(receiver)
-                        if queued is None:
-                            pending[receiver] = fresh
-                            push(receiver)
-                        else:
-                            pending[receiver] = queued + fresh
-                        insertions += 1
+                        sets[receiver] = seen + new
+                        fresh = new
                     else:
-                        insert(receiver, new)
+                        sets[receiver], fresh = _join(seen, new, limit)
+                        if fresh.__class__ is int and pending.get(receiver).__class__ is tuple:
+                            # The set has just turned into a mask, so its
+                            # delta turns too, even with nothing fresh.
+                            pending[receiver] = _mask_of(pending[receiver])
+                        if not fresh:
+                            continue
+                    insertions += fresh.bit_count() if fresh.__class__ is int else len(fresh)
+                    queued = pending.get(receiver)
+                    if queued is None:
+                        pending[receiver] = fresh
+                        push(receiver)
+                    else:
+                        # The fresh part is disjoint from the delta, which is
+                        # part of the set, so + appends to a tuple and ORs
+                        # into a mask alike.
+                        pending[receiver] = queued + fresh
         finally:
             stats = self.stats
             stats.pops += pops

@@ -69,27 +69,28 @@ def _named_answers(result):
 
 
 def test_insertion_adds_only_fresh_vertices(nesting_grammar, loop_graph):
-    v1 = loop_graph.vertex_id("1")
+    v1, v3 = loop_graph.vertex_id("1"), loop_graph.vertex_id("3")
     ev = Evaluation(nesting_grammar, loop_graph, [(v1, "S")])
     item = ev.items[0]
-    slot = item.slot + 1
+    assert item.production.rhs == ("a", "S", "b")
 
     def counts():
         return ev.stats.insertions, len(ev.worklist)
 
+    # 3's only a-successor is 1, so a delta of 3 at position 0 joins 1 into position 1
     insertions, queued = counts()
-    ev._insert(slot, {3})
-    assert item.sets[1] == {3: None} and item.pending[1] == {3}
+    ev._drain(1, item.slot, (v3,))
+    assert item.sets[1] == {v1: None} and item.pending[1] == {v1}
     assert counts() == (insertions + 1, queued + 1)
     # already pending: no insertion, no re-enqueue
-    ev._insert(slot, {3})
-    assert item.pending[1] == {3}
+    ev._drain(1, item.slot, (v3,))
+    assert item.pending[1] == {v1}
     assert counts() == (insertions + 1, queued + 1)
-    ev.process_slot(item, 1, 3)
+    ev.process_slot(item, 1, v1)
     # already processed: stays processed
     insertions, queued = counts()
-    ev._insert(slot, {3})
-    assert item.sets[1] == {3: None} and item.pending[1] == set()
+    ev._drain(1, item.slot, (v3,))
+    assert item.sets[1] == {v1: None} and item.pending[1] == set()
     assert counts() == (insertions, queued)
 
 
@@ -163,6 +164,10 @@ def test_query_validation(nesting_grammar, loop_graph):
         ((1.0, "S"), UnknownVertex),
         (("1", "S"), UnknownVertex),
         ((1, "S", 3), InvalidParams),
+        (5, InvalidParams),
+        (None, InvalidParams),
+        (([1], "S"), InvalidParams),
+        ((1, ["S"]), InvalidParams),
     ],
 )
 def test_a_malformed_query_pair_is_a_cfpq_error(nesting_grammar, loop_graph, pair, error):
@@ -523,35 +528,42 @@ def test_run_state_is_not_tracked_by_the_garbage_collector():
 
 
 def test_a_mask_with_nothing_fresh_still_turns_a_tuple_set_and_its_delta(nesting_grammar, loop_graph):
-    ev = Evaluation(nesting_grammar, loop_graph, [(0, "S")])
-    slot = ev.items[0].slot + 1
-    ev._insert(slot, {0})
-    assert ev._sets[slot] == (0,)
-    assert ev._pending[slot] == (0,)
+    v1, v3 = loop_graph.vertex_id("1"), loop_graph.vertex_id("3")
+    ev = Evaluation(nesting_grammar, loop_graph, [(v1, "S")])
+    slot = ev.items[0].slot
+    # 3's only a-successor is 1, as a tuple delta and as a mask delta
+    ev._drain(1, slot, (v3,))
+    assert ev._sets[slot + 1] == (v1,)
+    assert ev._pending[slot + 1] == (v1,)
     insertions = ev.stats.insertions
-    ev._insert(slot, 1 << 0)
+    ev._drain(1, slot, 1 << v3)
     # a union with a mask is a mask, and the delta keeps its set's container
-    assert ev._sets[slot] == 1 << 0
-    assert ev._pending[slot] == 1 << 0
+    assert ev._sets[slot + 1] == 1 << v1
+    assert ev._pending[slot + 1] == 1 << v1
     assert ev.stats.insertions == insertions
 
 
-def test_a_set_growing_by_one_vertex_moves_from_tuple_to_mask(nesting_grammar, loop_graph):
-    ev = Evaluation(nesting_grammar, loop_graph, [(0, "S")])
-    slot = ev.items[0].slot + 1
-    limit = engine._mask_limit(loop_graph.vertex_count)
+def test_a_set_growing_by_one_vertex_moves_from_tuple_to_mask(nesting_grammar):
+    # one a-edge per source, so a delta of source i at position 0 joins
+    # target i alone into position 1
+    graph = load_triples("".join(f"s{i}\ta\tt{i}\n" for i in range(40)))
+    limit = engine._mask_limit(graph.vertex_count)
+    assert limit + 4 <= 40
+    targets = [graph.vertex_id(f"t{i}") for i in range(limit + 4)]
+    ev = Evaluation(nesting_grammar, graph, [(graph.vertex_id("s0"), "S")])
+    slot = ev.items[0].slot
     order = (tuple, int)
     rank = 0
     insertions = ev.stats.insertions
-    for vertex in range(limit + 4):
-        ev._insert(slot, {vertex})
-        position_set, delta = ev._sets[slot], ev._pending[slot]
-        assert set(engine._vertices(position_set)) == set(engine._vertices(delta)) == set(range(vertex + 1))
+    for i in range(limit + 4):
+        ev._drain(1, slot, (graph.vertex_id(f"s{i}"),))
+        position_set, delta = ev._sets[slot + 1], ev._pending[slot + 1]
+        assert set(engine._vertices(position_set)) == set(engine._vertices(delta)) == set(targets[: i + 1])
         # the delta keeps its set's container, which never moves back
         assert delta.__class__ is position_set.__class__
         assert order.index(position_set.__class__) >= rank
         rank = order.index(position_set.__class__)
-        size = vertex + 1
+        size = i + 1
         assert position_set.__class__ is (tuple if size <= limit else int)
     assert rank == 1
     assert ev.stats.insertions == insertions + limit + 4

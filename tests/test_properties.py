@@ -291,9 +291,9 @@ _vertex_ids = st.sets(st.integers(0, 80), max_size=12)
 
 @st.composite
 def _stored_sets(draw):
-    """A vertex set as the run stores it: None for none yet, a tuple, or a mask."""
+    """A vertex set as the run stores it: a tuple or a mask."""
     vertices = draw(_vertex_ids)
-    return draw(st.sampled_from((None, tuple(vertices), engine._mask_of(vertices))))
+    return draw(st.sampled_from((tuple(vertices), engine._mask_of(vertices))))
 
 
 _NEW_CONTAINERS = {"set": set, "tuple": tuple, "mask": engine._mask_of}
